@@ -5,9 +5,18 @@
 //! rewritten operands, deleted branches) take effect exactly when the
 //! corrupted instruction is next executed. Every load and store goes through
 //! the [`MemBus`], so protection and illegal-address machine checks apply.
+//!
+//! The kernel enters its data-path routines through [`Cpu::call`], which
+//! first offers the call to the routine's native implementation. That path
+//! runs only when the routine's text is still exactly what was installed and
+//! the call provably cannot fault, trap, overlap itself or kernel text, or
+//! exceed its step limit; it then reproduces the interpreter's result,
+//! registers, memory and access counts exactly (the rule and why it is
+//! exact are in [`crate::routines`]). Every other call — in particular
+//! every call into faulted text — is interpreted by [`Cpu::run`].
 
 use crate::isa::{decompose_addr, Instr, Opcode, Reg, INSTR_BYTES, NUM_REGS};
-use crate::routines::{RoutineHandle, RoutineStore};
+use crate::routines::{Call, KernelRoutines, RoutineHandle, RoutineStore};
 use rio_mem::{AddrKind, MemBus, MemFault};
 
 /// Why a routine stopped.
@@ -70,7 +79,7 @@ impl RunResult {
 }
 
 /// Architectural register file plus execution engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cpu {
     regs: [u64; NUM_REGS],
 }
@@ -108,6 +117,25 @@ impl Cpu {
     pub fn poke_reg_raw(&mut self, index: usize, v: u64) {
         if index > 0 && index < NUM_REGS {
             self.regs[index] = v;
+        }
+    }
+
+    /// Calls a data-path routine: loads its arguments, runs it natively if
+    /// its text is pristine and the call provably cannot fault (see
+    /// [`KernelRoutines::run_native`]), and interprets it otherwise. Either
+    /// way the result is what [`Cpu::run`] would return.
+    pub fn call(
+        &mut self,
+        bus: &mut MemBus,
+        store: &RoutineStore,
+        routines: &KernelRoutines,
+        call: Call,
+        step_limit: u64,
+    ) -> RunResult {
+        call.load_args(self);
+        match routines.run_native(self, bus, store, call, step_limit) {
+            Some(run) => run,
+            None => self.run(bus, store, routines.handle(call), step_limit),
         }
     }
 

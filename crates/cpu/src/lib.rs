@@ -19,6 +19,19 @@
 //! store lands, raises an illegal-address machine check, or (with Rio
 //! protection on) a write-protection trap.
 //!
+//! Interpreting costs host time even when nothing is wrong, and most calls
+//! run untouched code. So, as the paper's kernel ran natively and only the
+//! injected faults perturbed it, [`Cpu::call`] runs `bcopy`, `bzero` and
+//! `bcmp` natively when the routine's text is byte-identical to what was
+//! installed and the call provably cannot fault — every range in bounds,
+//! no store to a trapping page or to kernel text, no overlapping copy, and
+//! an instruction count within the step limit. It then reproduces exactly
+//! what the interpreter would: the result and step count, every register,
+//! every memory byte and every access counter. Any other call, and every
+//! call into faulted text, is interpreted, so a text fault still takes
+//! effect exactly when the corrupted instruction is next executed. See
+//! [`routines`] for the rule and why it is exact.
+//!
 //! # Example
 //!
 //! ```
@@ -52,4 +65,4 @@ pub use interp::{Cpu, Outcome, RunResult};
 pub use isa::{
     decompose_addr, kseg_addr, DecodeError, Instr, Opcode, Reg, INSTR_BYTES, KSEG_BIT,
 };
-pub use routines::{KernelRoutines, RoutineHandle, RoutineStore};
+pub use routines::{Call, KernelRoutines, RoutineHandle, RoutineStore};

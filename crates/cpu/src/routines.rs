@@ -5,11 +5,42 @@
 //! where they are exposed to text-targeting faults for the rest of the run.
 //! [`KernelRoutines`] installs the four routines every kernel build uses:
 //! `bcopy`, `bzero`, `bcmp`, and `fill_pattern`.
+//!
+//! # Native execution of pristine routines
+//!
+//! `bcopy`, `bzero` and `bcmp` also have a native implementation next to
+//! their assembly, and [`Cpu::call`] runs a call natively when — and only
+//! when — the result is provably the one the interpreter would produce:
+//!
+//! * the routine's text is byte-identical to the encoding
+//!   [`RoutineStore::install`] wrote (so no text fault has touched it);
+//! * every accessed range is in bounds, and no address carries into
+//!   [`KSEG_BIT`](crate::KSEG_BIT);
+//! * no store would trap under the current protection table, mode and
+//!   route;
+//! * `bcopy`'s source and destination do not overlap, and no destination
+//!   touches kernel text (so the copy cannot rewrite code or its own
+//!   input while it runs);
+//! * the closed-form instruction count is within the step limit.
+//!
+//! Under those conditions the interpreted routine runs straight through to
+//! `halt`, its loads read memory no store of the call changes, and its
+//! stores land in ascending order on pages that accept them; the result is
+//! therefore a function of the arguments alone, and the native path
+//! reproduces all of it: the [`RunResult`] including `steps` (which drive
+//! simulated CPU time), all 32 registers including the scratch registers
+//! the routine clobbers, every memory byte, and every
+//! [`AccessStats`](rio_mem::AccessStats) field. No event is emitted on
+//! either path (the bus emits only on a protection trap, which a native
+//! call cannot take). Every other call is interpreted, which keeps the
+//! interpreter the only path for faulted text and the oracle the tests
+//! compare the native path against.
 
 use crate::asm::{AsmError, Assembler};
-use crate::interp::{Cpu, RunResult};
-use crate::isa::{DecodeError, Instr, Reg, INSTR_BYTES};
-use rio_mem::{MemBus, PhysMem, Region};
+use crate::interp::{Cpu, Outcome, RunResult};
+use crate::isa::{decompose_addr, DecodeError, Instr, Reg, INSTR_BYTES};
+use rio_mem::{AddrKind, MemBus, PhysMem, Region};
+use std::sync::Arc;
 
 /// Identifies an installed routine: where it starts and how long it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,6 +90,10 @@ pub struct RoutineStore {
     text: Region,
     installed: u64,
     names: Vec<(String, RoutineHandle)>,
+    /// The bytes written at install for every installed instruction, in
+    /// text order; shared between clones, since text is installed only at
+    /// boot.
+    encoding: Arc<Vec<u8>>,
 }
 
 impl RoutineStore {
@@ -68,6 +103,7 @@ impl RoutineStore {
             text,
             installed: 0,
             names: Vec::new(),
+            encoding: Arc::default(),
         }
     }
 
@@ -109,10 +145,10 @@ impl RoutineStore {
             first_index: self.installed,
             len: code.len() as u64,
         };
-        for (i, instr) in code.iter().enumerate() {
-            let addr = self.instr_addr(handle.first_index + i as u64);
-            bus.mem_mut().write_bytes(addr, &instr.encode());
-        }
+        let bytes: Vec<u8> = code.iter().flat_map(Instr::encode).collect();
+        bus.mem_mut()
+            .write_bytes(self.instr_addr(handle.first_index), &bytes);
+        Arc::make_mut(&mut self.encoding).extend_from_slice(&bytes);
         self.installed += code.len() as u64;
         self.names.push((name.to_owned(), handle));
         Ok(handle)
@@ -129,6 +165,19 @@ impl RoutineStore {
     /// Installed routines in installation order.
     pub fn routines(&self) -> impl Iterator<Item = (&str, RoutineHandle)> {
         self.names.iter().map(|(n, h)| (n.as_str(), *h))
+    }
+
+    /// The encoding [`RoutineStore::install`] wrote for an installed
+    /// routine.
+    fn encoding(&self, h: RoutineHandle) -> &[u8] {
+        let start = (h.first_index * INSTR_BYTES) as usize;
+        &self.encoding[start..start + (h.len * INSTR_BYTES) as usize]
+    }
+
+    /// Whether the routine's text in `mem` is still byte-identical to the
+    /// encoding written at install — i.e. no fault has touched it.
+    pub fn is_pristine(&self, mem: &PhysMem, h: RoutineHandle) -> bool {
+        mem.matches(self.instr_addr(h.first_index), self.encoding(h))
     }
 
     /// Decodes the instruction currently stored at an absolute index
@@ -153,7 +202,11 @@ impl RoutineStore {
 /// Handles for the standard kernel data-path routines.
 ///
 /// Register ABI: arguments in `r1..r4`, result in `r10`, scratch `r11..r15`.
+///
+/// Only [`KernelRoutines::install_all`] builds this type, so each handle
+/// names the code its native implementation reproduces.
 #[derive(Debug, Clone, Copy)]
+#[non_exhaustive]
 pub struct KernelRoutines {
     /// `bcopy(r1=src, r2=dst, r3=len)` — byte copy, 8 bytes at a time.
     pub bcopy: RoutineHandle,
@@ -163,6 +216,51 @@ pub struct KernelRoutines {
     pub bcmp: RoutineHandle,
     /// `fill_pattern(r1=dst, r2=len, r3=seed)` — xorshift pattern fill.
     pub fill_pattern: RoutineHandle,
+}
+
+/// A call to one of the native-capable data-path routines, with its
+/// arguments (see [`KernelRoutines`] for the register ABI).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Call {
+    /// `bcopy(src, dst, len)`.
+    Bcopy {
+        /// Source address (may carry the KSEG tag).
+        src: u64,
+        /// Destination address (may carry the KSEG tag).
+        dst: u64,
+        /// Bytes to copy.
+        len: u64,
+    },
+    /// `bzero(dst, len)`.
+    Bzero {
+        /// Destination address (may carry the KSEG tag).
+        dst: u64,
+        /// Bytes to zero.
+        len: u64,
+    },
+    /// `bcmp(a, b, len)`; `r10 == 0` afterwards iff equal.
+    Bcmp {
+        /// First operand address.
+        a: u64,
+        /// Second operand address.
+        b: u64,
+        /// Bytes to compare.
+        len: u64,
+    },
+}
+
+impl Call {
+    /// Writes the call's arguments into `r1..` per the routine ABI.
+    pub fn load_args(&self, cpu: &mut Cpu) {
+        let args: &[u64] = match self {
+            Call::Bcopy { src, dst, len } => &[*src, *dst, *len],
+            Call::Bzero { dst, len } => &[*dst, *len],
+            Call::Bcmp { a, b, len } => &[*a, *b, *len],
+        };
+        for (r, &v) in (1u8..).zip(args) {
+            cpu.set_reg(Reg(r), v);
+        }
+    }
 }
 
 impl KernelRoutines {
@@ -177,6 +275,41 @@ impl KernelRoutines {
             bzero: store.install(bus, "bzero", Self::asm_bzero())?,
             bcmp: store.install(bus, "bcmp", Self::asm_bcmp())?,
             fill_pattern: store.install(bus, "fill_pattern", Self::asm_fill_pattern())?,
+        })
+    }
+
+    /// The routine a call runs.
+    pub fn handle(&self, call: Call) -> RoutineHandle {
+        match call {
+            Call::Bcopy { .. } => self.bcopy,
+            Call::Bzero { .. } => self.bzero,
+            Call::Bcmp { .. } => self.bcmp,
+        }
+    }
+
+    /// Runs `call` natively if that is provably exact (see the [module
+    /// docs](self)); `None` means the call must be interpreted, and nothing
+    /// — registers, memory, stats — has been touched. The arguments must
+    /// already be loaded ([`Call::load_args`]).
+    pub fn run_native(
+        &self,
+        cpu: &mut Cpu,
+        bus: &mut MemBus,
+        store: &RoutineStore,
+        call: Call,
+        step_limit: u64,
+    ) -> Option<RunResult> {
+        if !store.is_pristine(bus.mem(), self.handle(call)) {
+            return None;
+        }
+        let steps = match call {
+            Call::Bcopy { src, dst, len } => native_bcopy(cpu, bus, src, dst, len, step_limit),
+            Call::Bzero { dst, len } => native_bzero(cpu, bus, dst, len, step_limit),
+            Call::Bcmp { a, b, len } => native_bcmp(cpu, bus, a, b, len, step_limit),
+        }?;
+        Some(RunResult {
+            outcome: Outcome::Done,
+            steps,
         })
     }
 
@@ -344,31 +477,257 @@ impl KernelRoutines {
     }
 }
 
-/// Runs `bcopy` with the given physical/KSEG-tagged addresses.
-///
-/// Convenience wrapper used by the kernel; returns the raw [`RunResult`] so
-/// callers can charge CPU time and convert panics into kernel crashes.
-#[allow(clippy::too_many_arguments)] // mirrors the routine's register ABI
-pub fn run_bcopy(
+/// The route and physical address of `[addr, addr+len)` if every byte of
+/// it is in bounds and shares one route (no carry into the KSEG bit).
+fn span(mem: &PhysMem, addr: u64, len: u64) -> Option<(AddrKind, u64)> {
+    let (kind, phys) = decompose_addr(addr);
+    let last = addr.checked_add(len.saturating_sub(1))?;
+    (decompose_addr(last).0 == kind && mem.in_bounds(phys, len)).then_some((kind, phys))
+}
+
+/// Whether a store span `[phys, phys+len)` may be carried out natively: no
+/// page of it traps, and it leaves kernel text alone.
+fn storable(bus: &MemBus, kind: AddrKind, phys: u64, len: u64) -> bool {
+    let text = bus.layout().text;
+    let touches_text = len > 0 && phys < text.end && text.start < phys + len;
+    !touches_text && bus.first_trapping_page(phys, len, kind).is_none()
+}
+
+/// How `bcopy`/`bzero` split `len` bytes at `dst`: `head` bytes copied
+/// one at a time before `dst` is 8-aligned (the `align` loop), then — if
+/// at least 8 bytes remain — `blocks` 64-byte blocks, `words` 8-byte words
+/// and `tail` single bytes; otherwise (`aligned == false`) the remaining
+/// `tail` bytes go straight to the byte loop.
+struct Split {
+    head: u64,
+    aligned: bool,
+    blocks: u64,
+    words: u64,
+    tail: u64,
+}
+
+impl Split {
+    fn of(dst: u64, len: u64) -> Split {
+        let to_align = (8 - dst % 8) % 8;
+        // The align loop runs only while at least 8 bytes remain.
+        let head = if len < 8 { 0 } else { to_align.min(len - 7) };
+        let rem = len - head;
+        if rem < 8 {
+            return Split {
+                head,
+                aligned: false,
+                blocks: 0,
+                words: 0,
+                tail: rem,
+            };
+        }
+        Split {
+            head,
+            aligned: true,
+            blocks: rem / 64,
+            words: rem % 64 / 8,
+            tail: rem % 8,
+        }
+    }
+
+    /// Store (and, for `bcopy`, load) instructions executed.
+    fn accesses(&self) -> u64 {
+        self.head + 8 * self.blocks + self.words + self.tail
+    }
+
+    /// `r15` after the routine: the `and` in the align loop last computed
+    /// `dst & 7` at the final unaligned byte, or at the aligned address
+    /// (0); it never runs when the routine goes straight to the byte tail.
+    fn last_and(&self, dst: u64, old: u64) -> u64 {
+        match (self.aligned, self.head) {
+            (true, _) => 0,
+            (false, 0) => old,
+            (false, h) => dst.wrapping_add(h - 1) & 7,
+        }
+    }
+
+    /// Instructions executed: `prologue` set-up instructions, the align
+    /// loop (`per_head` each), its exit (3 into `bulk`, 1 into `tail`), the
+    /// block, word and byte loops with one exit branch each, and `halt`.
+    fn steps(
+        &self,
+        prologue: u64,
+        per_head: u64,
+        per_block: u64,
+        per_word: u64,
+        per_byte: u64,
+    ) -> u64 {
+        let loops = if self.aligned {
+            3 + per_block * self.blocks + 1 + per_word * self.words + 1
+        } else {
+            1
+        };
+        prologue + per_head * self.head + loops + per_byte * self.tail + 1 + 1
+    }
+}
+
+/// Native `bcopy`; see [`KernelRoutines::asm_bcopy`] for the code whose
+/// effect it reproduces. Returns the step count, or `None` to interpret.
+fn native_bcopy(
     cpu: &mut Cpu,
     bus: &mut MemBus,
-    store: &RoutineStore,
-    routines: &KernelRoutines,
     src: u64,
     dst: u64,
     len: u64,
     step_limit: u64,
-) -> RunResult {
-    cpu.set_reg(Reg(1), src);
-    cpu.set_reg(Reg(2), dst);
-    cpu.set_reg(Reg(3), len);
-    cpu.run(bus, store, routines.bcopy, step_limit)
+) -> Option<u64> {
+    let (_, ps) = span(bus.mem(), src, len)?;
+    let (kind, pd) = span(bus.mem(), dst, len)?;
+    let disjoint = ps + len <= pd || pd + len <= ps;
+    if !disjoint || !storable(bus, kind, pd, len) {
+        return None;
+    }
+    let split = Split::of(dst, len);
+    let steps = split.steps(4, 9, 21, 7, 7);
+    if steps > step_limit {
+        return None;
+    }
+    let mem = bus.mem_mut();
+    mem.copy_nonoverlapping(ps, pd, len);
+    // r11 holds the last value loaded: a byte unless the copy ended on the
+    // word or block loop.
+    if len > 0 {
+        let last = if split.aligned && split.tail == 0 {
+            mem.read_u64(ps + len - 8)
+        } else {
+            mem.read_u8(ps + len - 1) as u64
+        };
+        cpu.set_reg(Reg(11), last);
+    }
+    let r15 = split.last_and(dst, cpu.reg(Reg(15)));
+    for (r, v) in [
+        (1, src.wrapping_add(len)),
+        (2, dst.wrapping_add(len)),
+        (10, 7),
+        (12, 0),
+        (13, 8),
+        (14, 64),
+        (15, r15),
+    ] {
+        cpu.set_reg(Reg(r), v);
+    }
+    let n = split.accesses();
+    bus.account_bulk(kind, n, n, 2 * len);
+    Some(steps)
+}
+
+/// Native `bzero`; see [`KernelRoutines::asm_bzero`].
+fn native_bzero(
+    cpu: &mut Cpu,
+    bus: &mut MemBus,
+    dst: u64,
+    len: u64,
+    step_limit: u64,
+) -> Option<u64> {
+    let (kind, pd) = span(bus.mem(), dst, len)?;
+    if !storable(bus, kind, pd, len) {
+        return None;
+    }
+    let split = Split::of(dst, len);
+    let steps = split.steps(3, 7, 12, 5, 5);
+    if steps > step_limit {
+        return None;
+    }
+    bus.mem_mut().fill(pd, len, 0);
+    let r15 = split.last_and(dst, cpu.reg(Reg(15)));
+    for (r, v) in [
+        (1, dst.wrapping_add(len)),
+        (2, 0),
+        (10, 7),
+        (13, 8),
+        (14, 64),
+        (15, r15),
+    ] {
+        cpu.set_reg(Reg(r), v);
+    }
+    bus.account_bulk(kind, 0, split.accesses(), len);
+    Some(steps)
+}
+
+/// Native `bcmp`; see [`KernelRoutines::asm_bcmp`]. The routine stops at
+/// the first differing word (or, in the byte tail, byte), so the result
+/// depends on where the first mismatch lies.
+fn native_bcmp(
+    cpu: &mut Cpu,
+    bus: &mut MemBus,
+    a: u64,
+    b: u64,
+    len: u64,
+    step_limit: u64,
+) -> Option<u64> {
+    let (_, pa) = span(bus.mem(), a, len)?;
+    let (_, pb) = span(bus.mem(), b, len)?;
+    let words = len / 8;
+    let mem = bus.mem();
+    // (instructions, word iterations run, byte iterations run, equal?)
+    let (steps, w, t, equal) = match mem.first_mismatch(pa, pb, len) {
+        None => (5 + 8 * (words + len % 8), words, len % 8, true),
+        Some(p) if p < 8 * words => (8 + 8 * (p / 8), p / 8 + 1, 0, false),
+        Some(p) => {
+            let j = p - 8 * words;
+            (9 + 8 * words + 8 * j, words, j + 1, false)
+        }
+    };
+    if steps > step_limit {
+        return None;
+    }
+    // r11/r12 hold the last pair loaded (none if `len == 0`); the pointers
+    // and count advance past every pair compared equal.
+    let advanced = if equal {
+        len
+    } else if t == 0 {
+        8 * (w - 1)
+    } else {
+        8 * w + t - 1
+    };
+    if t > 0 {
+        let off = 8 * w + t - 1;
+        cpu.set_reg(Reg(11), mem.read_u8(pa + off) as u64);
+        cpu.set_reg(Reg(12), mem.read_u8(pb + off) as u64);
+    } else if w > 0 {
+        let off = 8 * (w - 1);
+        cpu.set_reg(Reg(11), mem.read_u64(pa + off));
+        cpu.set_reg(Reg(12), mem.read_u64(pb + off));
+    }
+    for (r, v) in [
+        (1, a.wrapping_add(advanced)),
+        (2, b.wrapping_add(advanced)),
+        (3, len - advanced),
+        (10, u64::from(!equal)),
+        (13, 8),
+    ] {
+        cpu.set_reg(Reg(r), v);
+    }
+    bus.account_bulk(AddrKind::Virtual, 2 * (w + t), 0, 16 * w + 2 * t);
+    Some(steps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rio_mem::{AddrKind, MemConfig};
+    use rio_mem::MemConfig;
+
+    /// Interprets `bcopy` (never the native path: these tests pin the
+    /// assembly itself).
+    #[allow(clippy::too_many_arguments)]
+    fn run_bcopy(
+        cpu: &mut Cpu,
+        bus: &mut MemBus,
+        store: &RoutineStore,
+        routines: &KernelRoutines,
+        src: u64,
+        dst: u64,
+        len: u64,
+        step_limit: u64,
+    ) -> RunResult {
+        Call::Bcopy { src, dst, len }.load_args(cpu);
+        cpu.run(bus, store, routines.bcopy, step_limit)
+    }
 
     fn machine() -> (MemBus, RoutineStore, KernelRoutines, Cpu) {
         let mut bus = MemBus::new(MemConfig::small());

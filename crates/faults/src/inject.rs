@@ -360,6 +360,62 @@ mod tests {
     }
 
     #[test]
+    fn native_routines_decline_whenever_a_fault_touches_their_text() {
+        // The text and instruction faults rewrite kernel text: a live
+        // routine they touched must be interpreted, one they missed may
+        // still run natively. The data and behavioural faults never touch
+        // text at all.
+        use rio_cpu::Call;
+        let base = kernel();
+        let heap = base.machine.bus.layout().heap.start;
+        let page = rio_mem::PAGE_SIZE as u64;
+        let routines = base.machine.routines;
+        let calls = [
+            Call::Bcopy {
+                src: heap,
+                dst: heap + 3 * page,
+                len: 100,
+            },
+            Call::Bzero {
+                dst: heap + 3 * page,
+                len: 100,
+            },
+            Call::Bcmp {
+                a: heap,
+                b: heap + page,
+                len: 100,
+            },
+        ];
+        for fault in FaultType::ALL {
+            let mut touched_any = false;
+            for seed in 0..100 {
+                let mut k = base.clone();
+                inject(&mut k, fault, &mut DetRng::seed_from_u64(seed));
+                let m = &mut k.machine;
+                for call in calls {
+                    let touched = !m.store.is_pristine(m.bus.mem(), routines.handle(call));
+                    let mut cpu = m.cpu.clone();
+                    call.load_args(&mut cpu);
+                    let native = routines.run_native(&mut cpu, &mut m.bus, &m.store, call, 1 << 20);
+                    assert_eq!(native.is_none(), touched, "{fault} seed {seed} {call:?}");
+                    touched_any |= touched;
+                }
+            }
+            let rewrites_text = matches!(
+                fault,
+                FaultType::KernelText
+                    | FaultType::DestinationReg
+                    | FaultType::SourceReg
+                    | FaultType::DeleteBranch
+                    | FaultType::DeleteRandomInst
+                    | FaultType::Initialization
+                    | FaultType::Pointer
+            );
+            assert_eq!(touched_any, rewrites_text, "{fault}");
+        }
+    }
+
+    #[test]
     fn all_thirteen_labels_are_unique() {
         let mut labels: Vec<_> = FaultType::ALL.iter().map(|f| f.label()).collect();
         labels.sort();

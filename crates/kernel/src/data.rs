@@ -29,7 +29,8 @@ pub(crate) struct WriteJob {
     pub(crate) len: usize,
     /// Bytes copied into the UBC so far.
     pub(crate) done: usize,
-    /// The inode as read at prep time (block mapping for `ubc_get`).
+    /// The file's inode: read at prep time and kept current by `ubc_get`
+    /// (block mapping for later pages, written back by `write_finish`).
     pub(crate) inode: Inode,
 }
 
@@ -49,11 +50,17 @@ impl Kernel {
     /// Ensures the UBC holds file page `pidx` of inode `ino`, returning its
     /// memory page. Missing backing blocks read as zeroes (holes / fresh
     /// pages).
+    ///
+    /// `inode` is the caller's copy of the file's inode. Making room can
+    /// write back a dirty page of the *same* file and allocate its block;
+    /// the copy is then replaced by the updated inode, so the rest of the
+    /// call maps later pages through it and does not write a stale block
+    /// map back.
     pub(crate) fn ubc_get(
         &mut self,
         ino: u64,
         pidx: u64,
-        inode: &Inode,
+        inode: &mut Inode,
     ) -> Result<PageNum, KernelError> {
         let key = (ino, pidx);
         if let Some(page) = self.ubc.lookup(key) {
@@ -67,7 +74,10 @@ impl Kernel {
                 // Synchronous: the frame is about to be reused, so the
                 // write must be durable before the page's last copy goes.
                 self.stats.overflow_writebacks += 1;
-                self.flush_one_ubc_page(ev.key, ev.page, true)?;
+                let flushed = self.flush_one_ubc_page(ev.key, ev.page, true)?;
+                if ev.key.0 == ino {
+                    *inode = flushed;
+                }
             }
             self.wait_frame_flush(ev.page);
             self.ubc_wb_pending.retain(|w| w.page != ev.page);
@@ -163,13 +173,14 @@ impl Kernel {
     }
 
     /// Writes one dirty UBC page to its backing block, allocating the block
-    /// (and updating metadata) if the file never had one.
+    /// (and updating metadata) if the file never had one. Returns the
+    /// file's inode as it stands afterwards.
     pub(crate) fn flush_one_ubc_page(
         &mut self,
         key: (u64, u64),
         page: PageNum,
         wait: bool,
-    ) -> Result<(), KernelError> {
+    ) -> Result<Inode, KernelError> {
         let (ino, pidx) = key;
         let mut inode = self.read_inode(ino)?;
         let block = match self.file_block(&inode, pidx)? {
@@ -215,7 +226,7 @@ impl Kernel {
         if !wait {
             self.note_frame_flush(page, done);
         }
-        Ok(())
+        Ok(inode)
     }
 
     /// The pwrite engine: copies `data` into the file cache at `offset`.
@@ -287,13 +298,12 @@ impl Kernel {
     pub(crate) fn write_one_page(&mut self, job: &mut WriteJob) -> Result<(), KernelError> {
         let (ino, offset, staging, data_len, done) =
             (job.ino, job.offset, job.staging, job.len, job.done);
-        let inode = job.inode.clone();
         {
             let abs = offset + done as u64;
             let pidx = abs / PAGE_SIZE as u64;
             let in_page = (abs % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - in_page).min(data_len - done);
-            let page = self.ubc_get(ino, pidx, &inode)?;
+            let page = self.ubc_get(ino, pidx, &mut job.inode)?;
             let key = (ino, pidx);
 
             // Registry: mark CHANGING before touching the page (§3.2).
@@ -552,8 +562,7 @@ impl Kernel {
         let pidx = abs / PAGE_SIZE as u64;
         let in_page = (abs % PAGE_SIZE as u64) as usize;
         let n = (PAGE_SIZE - in_page).min(job.total - job.done);
-        let inode = job.inode.clone();
-        let page = self.ubc_get(job.ino, pidx, &inode)?;
+        let page = self.ubc_get(job.ino, pidx, &mut job.inode)?;
         // Copy out through the interpreted bcopy (KSEG source; heap
         // destination needs no window).
         self.machine

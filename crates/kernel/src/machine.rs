@@ -1,9 +1,14 @@
 //! The simulated machine: memory + CPU + disk + clock + fault hooks, and
-//! the kernel's wrappers around the interpreted data-path routines.
+//! the kernel's wrappers around the data-path routines.
+//!
+//! The wrappers enter the routines through [`Cpu::call`], which runs a
+//! routine natively when its text is pristine and the call provably cannot
+//! fault, and interprets it otherwise — with identical results, registers,
+//! memory, counters and step counts either way.
 //!
 //! The wrappers are where three of the §3.1 high-level faults live:
 //! `bcopy` consults the copy-overrun and off-by-one hooks before running
-//! the interpreted routine, and the syscall **activation record** — the
+//! the routine, and the syscall **activation record** — the
 //! kernel's saved parameters, stored in the simulated stack region — is how
 //! kernel-stack bit flips propagate into wrong-parameter I/O.
 
@@ -12,7 +17,7 @@ use crate::clock::{Clock, CostModel};
 use crate::error::PanicReason;
 use crate::hooks::FaultHooks;
 use crate::locks::LockSet;
-use rio_cpu::{Cpu, KernelRoutines, Outcome, Reg, RoutineStore};
+use rio_cpu::{Call, Cpu, KernelRoutines, Outcome, Reg, RoutineStore};
 use rio_disk::{DiskModel, SimDisk};
 use rio_mem::{MemBus, MemConfig, ProtectionMode};
 
@@ -188,16 +193,22 @@ impl Machine {
         self.bus.protection().mode() == ProtectionMode::CodePatching
     }
 
-    fn finish(&mut self, outcome: Outcome, steps: u64) -> Result<(), PanicReason> {
-        self.clock.charge_steps(steps, self.patched());
-        match outcome {
+    /// Calls a data-path routine with freshly polluted scratch registers
+    /// and charges its steps.
+    fn call(&mut self, call: Call, step_limit: u64) -> Result<(), PanicReason> {
+        self.pollute_scratch();
+        let run = self
+            .cpu
+            .call(&mut self.bus, &self.store, &self.routines, call, step_limit);
+        self.clock.charge_steps(run.steps, self.patched());
+        match run.outcome {
             Outcome::Done => Ok(()),
             Outcome::Panic(cause) => Err(cause.into()),
             Outcome::StepLimit => Err(PanicReason::Watchdog),
         }
     }
 
-    /// Runs the interpreted `bcopy`, applying the copy-overrun and
+    /// Runs `bcopy`, applying the copy-overrun and
     /// off-by-one fault hooks to the length. Returns the **effective**
     /// length the routine was asked to copy (post-hooks), which callers use
     /// to track exactly which bytes a (possibly faulty) copy touched.
@@ -212,49 +223,31 @@ impl Machine {
     /// [`PanicReason`] when the routine panics (the kernel crashes).
     pub fn bcopy(&mut self, src: u64, dst: u64, len: u64) -> Result<u64, PanicReason> {
         let effective = self.hooks.bcopy_len(len);
-        let limit = effective * 8 + 1_000;
-        self.pollute_scratch();
-        self.cpu.set_reg(Reg(1), src);
-        self.cpu.set_reg(Reg(2), dst);
-        self.cpu.set_reg(Reg(3), effective);
-        let run = self
-            .cpu
-            .run(&mut self.bus, &self.store, self.routines.bcopy, limit);
-        self.finish(run.outcome, run.steps)?;
+        let call = Call::Bcopy {
+            src,
+            dst,
+            len: effective,
+        };
+        self.call(call, effective * 8 + 1_000)?;
         Ok(effective)
     }
 
-    /// Runs the interpreted `bzero`.
+    /// Runs `bzero`.
     ///
     /// # Errors
     ///
     /// As [`Machine::bcopy`].
     pub fn bzero(&mut self, dst: u64, len: u64) -> Result<(), PanicReason> {
-        let limit = len * 8 + 1_000;
-        self.pollute_scratch();
-        self.cpu.set_reg(Reg(1), dst);
-        self.cpu.set_reg(Reg(2), len);
-        let run = self
-            .cpu
-            .run(&mut self.bus, &self.store, self.routines.bzero, limit);
-        self.finish(run.outcome, run.steps)
+        self.call(Call::Bzero { dst, len }, len * 8 + 1_000)
     }
 
-    /// Runs the interpreted `bcmp`; `Ok(true)` means equal.
+    /// Runs `bcmp`; `Ok(true)` means equal.
     ///
     /// # Errors
     ///
     /// As [`Machine::bcopy`].
     pub fn bcmp(&mut self, a: u64, b: u64, len: u64) -> Result<bool, PanicReason> {
-        let limit = len * 12 + 1_000;
-        self.pollute_scratch();
-        self.cpu.set_reg(Reg(1), a);
-        self.cpu.set_reg(Reg(2), b);
-        self.cpu.set_reg(Reg(3), len);
-        let run = self
-            .cpu
-            .run(&mut self.bus, &self.store, self.routines.bcmp, limit);
-        self.finish(run.outcome, run.steps)?;
+        self.call(Call::Bcmp { a, b, len }, len * 12 + 1_000)?;
         Ok(self.cpu.reg(Reg(10)) == 0)
     }
 

@@ -292,3 +292,52 @@ fn many_open_fds_are_independent() {
         k.close(*fd).unwrap();
     }
 }
+
+const PAGE: usize = rio_mem::PAGE_SIZE;
+
+/// A kernel whose UBC holds only two file pages, so a call touching a
+/// third page evicts a dirty page — possibly of the file it is working on.
+fn tiny_ubc_kernel() -> Kernel {
+    let mut config = KernelConfig::small(Policy::rio(RioMode::Protected));
+    config.machine.mem.ubc_bytes = 2 * PAGE as u64;
+    Kernel::mkfs_and_mount(&config).unwrap()
+}
+
+fn page_of(p: usize) -> Vec<u8> {
+    (0..PAGE).map(|i| ((i * 7 + p * 31) % 251) as u8 + 1).collect()
+}
+
+#[test]
+fn write_that_evicts_its_own_file_keeps_the_new_block() {
+    // One pwrite of three pages: bringing in page 2 evicts dirty page 0,
+    // whose write-back allocates its block and records it in the inode.
+    // The call must not then write its older copy of the inode back over
+    // that block pointer, or page 0 reads back as a hole.
+    let mut k = tiny_ubc_kernel();
+    let data: Vec<u8> = (0..3).flat_map(page_of).collect();
+    let fd = k.create("/big").unwrap();
+    k.pwrite(fd, 0, &data).unwrap();
+    assert!(k.stats().overflow_writebacks > 0, "the write evicted a dirty page");
+    k.close(fd).unwrap();
+    assert_eq!(k.file_contents("/big").unwrap(), data);
+}
+
+#[test]
+fn read_that_evicts_its_own_file_finds_the_new_block() {
+    // Page 0 has a block (synced); pages 1 and 2 are dirty, resident and
+    // block-less. A read of pages 0–1 evicts page 1 to bring in page 0 —
+    // the write-back allocates page 1's block — and must then read page 1
+    // from that block, not zero-fill it as a hole.
+    let mut k = tiny_ubc_kernel();
+    let fd = k.create("/f").unwrap();
+    k.pwrite(fd, 0, &page_of(0)).unwrap();
+    k.sync().unwrap();
+    k.pwrite(fd, PAGE as u64, &page_of(1)).unwrap();
+    k.pwrite(fd, 2 * PAGE as u64, &page_of(2)).unwrap();
+    let before = k.stats().overflow_writebacks;
+    let got = k.pread(fd, 0, 2 * PAGE).unwrap();
+    assert!(k.stats().overflow_writebacks > before, "the read evicted a dirty page");
+    assert_eq!(got[..PAGE], page_of(0)[..]);
+    assert_eq!(got[PAGE..], page_of(1)[..], "page 1 read back as written");
+    k.close(fd).unwrap();
+}

@@ -198,6 +198,97 @@ impl PhysMem {
         }
     }
 
+    /// Copies `len` bytes from `src` to `dst` page chunk by page chunk,
+    /// without an intermediate buffer; either range may straddle pages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ranges overlap or either is out of bounds.
+    pub fn copy_nonoverlapping(&mut self, src: u64, dst: u64, len: u64) {
+        assert!(
+            self.in_bounds(src, len) && self.in_bounds(dst, len),
+            "copy_nonoverlapping out of bounds"
+        );
+        assert!(
+            src + len <= dst || dst + len <= src,
+            "copy_nonoverlapping ranges overlap"
+        );
+        let (mut src, mut dst, mut left) = (src, dst, len as usize);
+        while left > 0 {
+            let (si, so) = split(src);
+            let (di, d_off) = split(dst);
+            let n = left.min(PAGE_SIZE - so).min(PAGE_SIZE - d_off);
+            if si == di {
+                Arc::make_mut(&mut self.pages[di]).copy_within(so..so + n, d_off);
+            } else {
+                let (from, to) = if si < di {
+                    let (lo, hi) = self.pages.split_at_mut(di);
+                    (&lo[si], &mut hi[0])
+                } else {
+                    let (lo, hi) = self.pages.split_at_mut(si);
+                    (&hi[0], &mut lo[di])
+                };
+                Arc::make_mut(to)[d_off..d_off + n].copy_from_slice(&from[so..so + n]);
+            }
+            src += n as u64;
+            dst += n as u64;
+            left -= n;
+        }
+    }
+
+    /// Offset of the first byte at which `[a, a+len)` and `[b, b+len)`
+    /// differ, or `None` if they are equal; compared page chunk by page
+    /// chunk without copying.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range is out of bounds.
+    pub fn first_mismatch(&self, a: u64, b: u64, len: u64) -> Option<u64> {
+        assert!(
+            self.in_bounds(a, len) && self.in_bounds(b, len),
+            "first_mismatch out of bounds"
+        );
+        let mut done = 0u64;
+        while done < len {
+            let (ai, ao) = split(a + done);
+            let (bi, bo) = split(b + done);
+            let n = ((len - done) as usize)
+                .min(PAGE_SIZE - ao)
+                .min(PAGE_SIZE - bo);
+            let (x, y) = (&self.pages[ai][ao..ao + n], &self.pages[bi][bo..bo + n]);
+            if x != y {
+                let at = x
+                    .iter()
+                    .zip(y)
+                    .position(|(p, q)| p != q)
+                    .expect("slices differ");
+                return Some(done + at as u64);
+            }
+            done += n as u64;
+        }
+        None
+    }
+
+    /// Whether memory at `addr` holds exactly `data`; `data` may straddle
+    /// page boundaries. Out-of-bounds ranges never match.
+    pub fn matches(&self, addr: u64, data: &[u8]) -> bool {
+        if !self.in_bounds(addr, data.len() as u64) {
+            return false;
+        }
+        let mut addr = addr;
+        let mut done = 0usize;
+        while done < data.len() {
+            let (pi, off) = split(addr);
+            let n = (PAGE_SIZE - off).min(data.len() - done);
+            if self.pages[pi][off..off + n] != data[done..done + n] {
+                return false;
+            }
+            addr += n as u64;
+            done += n;
+        }
+        true
+    }
+
     /// Borrows a whole page.
     pub fn page(&self, pn: PageNum) -> &[u8] {
         &self.pages[pn.0 as usize][..]
@@ -334,6 +425,41 @@ mod tests {
         assert!(m.to_vec(addr, 20).iter().all(|&b| b == 0x5C));
         assert_eq!(m.read_u8(addr - 1), 0);
         assert_eq!(m.read_u8(addr + 20), 0);
+    }
+
+    #[test]
+    fn chunked_helpers_agree_with_bytewise_models() {
+        let page = PAGE_SIZE as u64;
+        for (src, dst, len) in [
+            (100, page * 3 + 5, 2 * page + 17),
+            (page * 5 - 3, page * 2 - 9, page + 1),
+            (page * 7 + 11, page * 7 + 4000, 3000),
+            (page * 9 + 20, page * 9 + 1, 19),
+            (0, page * 12, 0),
+        ] {
+            let mut m = mem();
+            let pattern: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8 + 1).collect();
+            m.write_bytes(src, &pattern);
+            let mut model = m.clone();
+            m.copy_nonoverlapping(src, dst, len);
+            model.write_bytes(dst, &pattern);
+            assert_eq!(m.to_vec(0, m.len()), model.to_vec(0, model.len()));
+            assert!(m.matches(dst, &pattern));
+            assert_eq!(m.first_mismatch(src, dst, len), None);
+            if len > 0 {
+                let at = len / 2;
+                m.flip_bit(dst + at, 4);
+                assert_eq!(m.first_mismatch(src, dst, len), Some(at));
+                assert!(!m.matches(dst, &pattern));
+            }
+        }
+        assert!(!mem().matches(mem().len() - 1, &[0, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap")]
+    fn copy_nonoverlapping_rejects_overlap() {
+        mem().copy_nonoverlapping(0, 7, 8);
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //!   preceded by an inserted check. Functionally equivalent, 20–50% slower;
 //!   the bus charges a per-store check cost in this mode so the ablation
 //!   bench can reproduce that band.
+//!
+//! The permission bits are a bitset indexed by page number — one bit per
+//! page, like the hardware's — so the per-store check every interpreted
+//! store pays in a protected mode is a shift and a mask rather than a hash
+//! lookup.
 
 use crate::page::PageNum;
-use std::collections::HashSet;
 
 /// How stores are checked against file-cache protection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -61,7 +65,11 @@ impl std::fmt::Display for ProtectionMode {
 pub struct ProtectionTable {
     mode: ProtectionMode,
     kseg_through_tlb: bool,
-    protected: HashSet<PageNum>,
+    /// Bit `pn % 64` of word `pn / 64` is set iff page `pn` is protected;
+    /// grows on demand, so pages past the end are unprotected.
+    bits: Vec<u64>,
+    /// Number of set bits.
+    count: usize,
 }
 
 impl ProtectionTable {
@@ -71,7 +79,8 @@ impl ProtectionTable {
         ProtectionTable {
             mode,
             kseg_through_tlb,
-            protected: HashSet::new(),
+            bits: Vec::new(),
+            count: 0,
         }
     }
 
@@ -101,23 +110,43 @@ impl ProtectionTable {
     }
 
     /// Clears the write-permission bit for a page (page becomes read-only).
+    /// The bitset grows to the highest page ever protected, so `pn` should
+    /// be a page of the machine's memory.
     pub fn protect(&mut self, pn: PageNum) {
-        self.protected.insert(pn);
+        let (word, mask) = Self::bit(pn);
+        if word >= self.bits.len() {
+            self.bits.resize(word + 1, 0);
+        }
+        if self.bits[word] & mask == 0 {
+            self.bits[word] |= mask;
+            self.count += 1;
+        }
     }
 
     /// Sets the write-permission bit for a page (page becomes writable).
     pub fn unprotect(&mut self, pn: PageNum) {
-        self.protected.remove(&pn);
+        let (word, mask) = Self::bit(pn);
+        if let Some(w) = self.bits.get_mut(word) {
+            if *w & mask != 0 {
+                *w &= !mask;
+                self.count -= 1;
+            }
+        }
     }
 
     /// Whether the page's permission bit denies writes.
     pub fn is_protected(&self, pn: PageNum) -> bool {
-        self.protected.contains(&pn)
+        let (word, mask) = Self::bit(pn);
+        self.bits.get(word).is_some_and(|w| w & mask != 0)
     }
 
     /// Number of currently protected pages.
     pub fn protected_count(&self) -> usize {
-        self.protected.len()
+        self.count
+    }
+
+    fn bit(pn: PageNum) -> (usize, u64) {
+        ((pn.0 / 64) as usize, 1 << (pn.0 % 64))
     }
 
     /// Decides whether a store to `pn` via the given route traps.
@@ -198,6 +227,41 @@ mod tests {
         p.unprotect(PageNum(5));
         assert!(!p.is_protected(PageNum(5)));
         assert_eq!(p.protected_count(), 0);
+    }
+
+    #[test]
+    fn bitset_matches_a_set_model() {
+        use rio_det::DetRng;
+        use std::collections::BTreeSet;
+        // Random protect/unprotect/query sequences over a page range that
+        // straddles several bitset words (and pages far past the end).
+        let mut rng = DetRng::seed_from_u64(0xB175E7);
+        for _ in 0..50 {
+            let mut table = ProtectionTable::new(ProtectionMode::Hardware, true);
+            let mut model = BTreeSet::new();
+            for _ in 0..400 {
+                let pn = PageNum(if rng.gen_bool(0.05) {
+                    rng.gen_range(0..100_000u64)
+                } else {
+                    rng.gen_range(0..300)
+                });
+                match rng.gen_range(0..3u32) {
+                    0 => {
+                        table.protect(pn);
+                        model.insert(pn);
+                    }
+                    1 => {
+                        table.unprotect(pn);
+                        model.remove(&pn);
+                    }
+                    _ => {}
+                }
+                let q = PageNum(rng.gen_range(0..320));
+                assert_eq!(table.is_protected(q), model.contains(&q), "{q}");
+                assert_eq!(table.is_protected(pn), model.contains(&pn), "{pn}");
+                assert_eq!(table.protected_count(), model.len());
+            }
+        }
     }
 
     #[test]

@@ -95,6 +95,22 @@ grep -q 'Rio p999 advantage' "$srv_a"
 grep -q 'histogram self-check: worst percentile error .* (bound 0.0625) OK' "$srv_a"
 rm -f "$srv_a" "$srv_b" "$srv_ja" "$srv_jb"
 
+echo "== committed artifacts regenerate byte-identical =="
+# The seeded, thread-count-independent exhibits that run in seconds are
+# regenerated in full and compared with the committed files; their JSON
+# goes to temp files so the tree stays clean.
+art="$(mktemp -d)"
+cargo run -q --release -p rio-bench --bin overhead > "$art/overhead.txt"
+cargo run -q --release -p rio-bench --bin table2 > "$art/table2.txt"
+RIO_BENCH_JSON="$art/BENCH_scale.json" cargo run -q --release -p rio-bench --bin scale > "$art/scale.txt"
+RIO_BENCH_JSON="$art/BENCH_server.json" cargo run -q --release -p rio-bench --bin server > "$art/server.txt"
+for name in overhead table2 scale server; do
+    cmp "$art/$name.txt" "results_$name.txt"
+done
+cmp "$art/BENCH_scale.json" BENCH_scale.json
+cmp "$art/BENCH_server.json" BENCH_server.json
+rm -rf "$art"
+
 echo "== smoke write benchmark (RIO_BENCH_ITERS=5) =="
 smoke_json="$(mktemp)"
 RIO_BENCH_ITERS=5 RIO_BENCH_WARMUP=1 RIO_BENCH_JSON="$smoke_json" \
