@@ -1,29 +1,23 @@
-//! Campaign throughput benchmark: the checkpoint-fork engine vs booting
-//! every trial from scratch — see EXPERIMENTS.md.
+//! Trial-preparation benchmark: the checkpoint fork vs booting a trial
+//! from scratch — see EXPERIMENTS.md.
 //!
 //! ```text
 //! cargo run --release -p rio-bench --bin campaign_bench
 //! ```
 //!
-//! Two measurements, written to `BENCH_campaign.json` at the repository
-//! root (override with `RIO_BENCH_JSON`):
+//! Scratch preparation is mkfs + memTest setup + warmup to the paper's
+//! steady point; a fork is a COW clone of the frozen checkpoint. The
+//! medians and their ratio (the ≥50× acceptance bar) are written to
+//! `BENCH_campaign.json` at the repository root (override with
+//! `RIO_BENCH_JSON`). End-to-end campaign throughput is the `campaign`
+//! workload of `perfbench/`.
 //!
-//! * **Trial preparation** — the work the engine actually eliminates.
-//!   Scratch preparation is mkfs + memTest setup + warmup to the paper's
-//!   steady point; a fork is a COW clone of the frozen checkpoint. The
-//!   ratio is the headline speedup (the ISSUE's ≥50× acceptance bar).
-//! * **End-to-end campaign throughput** — a small Table 1 campaign run
-//!   both ways. The post-injection tail (watchdog, reboot, verify) is
-//!   irreducible and identical on both paths, so this ratio is smaller
-//!   than the preparation ratio; both are reported honestly.
-//!
-//! Knobs: `RIO_SEED`, `RIO_THREADS`, `RIO_BENCH_TRIALS` (per-cell trials
-//! for the end-to-end leg, default 4), `RIO_BENCH_FORKS` (fork
-//! iterations, default 2000).
+//! Knobs: `RIO_SEED`, `RIO_BENCH_PREPARES` (scratch iterations, default
+//! 30), `RIO_BENCH_FORKS` (fork iterations, default 2000).
 
 use rio_bench::env_u64;
 use rio_bench::runner::fmt_ns;
-use rio_faults::{run_campaign_parallel, workload_seed, CampaignConfig, PreparedTrial, SystemKind};
+use rio_faults::{workload_seed, CampaignConfig, PreparedTrial, SystemKind};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -34,16 +28,8 @@ fn median_ns(mut samples: Vec<u64>) -> u64 {
 
 fn main() {
     let seed = env_u64("RIO_SEED", 1996);
-    let threads = env_u64(
-        "RIO_THREADS",
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(4),
-    )
-    .max(1) as usize;
     let paper = CampaignConfig::paper(seed);
 
-    // --- Leg 1: trial preparation, scratch vs fork ------------------------
     let system = SystemKind::RioWithProtection;
     let wl = workload_seed(seed, system);
     eprintln!("measuring trial preparation (scratch boot+warmup vs checkpoint fork)...");
@@ -74,61 +60,13 @@ fn main() {
     eprintln!("  fork:            {} median ({fork_iters} iters)", fmt_ns(fork_ns));
     eprintln!("  preparation speedup: {prep_speedup:.0}x");
 
-    // --- Leg 2: end-to-end campaign, checkpoint on vs off -----------------
-    let trials = env_u64("RIO_BENCH_TRIALS", 4);
-    let cfg_on = CampaignConfig {
-        trials_per_cell: trials,
-        use_checkpoint: true,
-        ..paper.clone()
-    };
-    let cfg_off = CampaignConfig {
-        use_checkpoint: false,
-        ..cfg_on.clone()
-    };
-    eprintln!(
-        "running end-to-end campaigns: 13 faults x 3 systems x {trials} crashes, \
-         {threads} threads..."
-    );
-    let t = Instant::now();
-    let on = run_campaign_parallel(&cfg_on, threads);
-    let on_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let off = run_campaign_parallel(&cfg_off, threads);
-    let off_secs = t.elapsed().as_secs_f64();
-
-    let attempts =
-        |r: &rio_faults::CampaignResult| r.cells.iter().map(|c| c.crashes + c.discarded).sum::<u64>();
-    let (a_on, a_off) = (attempts(&on), attempts(&off));
-    assert_eq!(a_on, a_off, "checkpoint changed the campaign's attempt schedule");
-    for (c_on, c_off) in on.cells.iter().zip(&off.cells) {
-        assert_eq!(
-            (c_on.crashes, c_on.corruptions, &c_on.messages),
-            (c_off.crashes, c_off.corruptions, &c_off.messages),
-            "checkpoint changed {:?}/{:?}",
-            c_on.fault,
-            c_on.system
-        );
-    }
-    let tps_on = a_on as f64 / on_secs;
-    let tps_off = a_off as f64 / off_secs;
-    eprintln!("  checkpoint on:  {a_on} trials in {on_secs:.2}s = {tps_on:.0} trials/s");
-    eprintln!("  checkpoint off: {a_off} trials in {off_secs:.2}s = {tps_off:.0} trials/s");
-    eprintln!("  end-to-end speedup: {:.1}x (results byte-identical)", tps_on / tps_off);
-
     let json = format!(
-        "{{\n  \"schema\": \"rio-campaign-bench-v1\",\n  \"seed\": {seed},\n  \
-         \"threads\": {threads},\n  \"preparation\": {{\n    \
-         \"scratch_ns_median\": {scratch_ns},\n    \"fork_ns_median\": {fork_ns},\n    \
-         \"speedup\": {prep_speedup:.1},\n    \"scratch_iters\": {scratch_iters},\n    \
-         \"fork_iters\": {fork_iters},\n    \"warmup_ops\": {warmup}\n  }},\n  \
-         \"end_to_end\": {{\n    \"trials_per_cell\": {trials},\n    \
-         \"trials\": {a_on},\n    \"checkpoint_secs\": {on_secs:.3},\n    \
-         \"scratch_secs\": {off_secs:.3},\n    \
-         \"checkpoint_trials_per_sec\": {tps_on:.1},\n    \
-         \"scratch_trials_per_sec\": {tps_off:.1},\n    \
-         \"speedup\": {e2e:.2},\n    \"results_identical\": true\n  }}\n}}\n",
+        "{{\n  \"schema\": \"rio-campaign-bench-v2\",\n  \"seed\": {seed},\n  \
+         \"preparation\": {{\n    \"scratch_ns_median\": {scratch_ns},\n    \
+         \"fork_ns_median\": {fork_ns},\n    \"speedup\": {prep_speedup:.1},\n    \
+         \"scratch_iters\": {scratch_iters},\n    \"fork_iters\": {fork_iters},\n    \
+         \"warmup_ops\": {warmup}\n  }}\n}}\n",
         warmup = paper.warmup_ops,
-        e2e = tps_on / tps_off,
     );
     let path = std::env::var("RIO_BENCH_JSON")
         .unwrap_or_else(|_| format!("{}/../../BENCH_campaign.json", env!("CARGO_MANIFEST_DIR")));

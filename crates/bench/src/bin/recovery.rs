@@ -5,28 +5,21 @@
 //! RIO_TRIALS=8 RIO_SEED=1996 RIO_THREADS=8 cargo run --release -p rio-bench --bin recovery
 //! ```
 //!
-//! `RIO_CHECKPOINT=0` disables the shared crashed-machine checkpoint and
-//! re-runs the pre-crash workload for every trial (byte-identical output).
+//! `RIO_THREADS` defaults to the host's available parallelism; the table
+//! is byte-identical at any value.
 
-use rio_bench::env_u64;
-use rio_faults::{checkpoint_enabled_from_env, RecoveryCampaignConfig};
+use rio_bench::{env_u64, threads};
+use rio_faults::RecoveryCampaignConfig;
 use rio_harness::{render_recovery, run_recovery};
 
 fn main() {
     let seed = env_u64("RIO_SEED", 1996);
     let paper = RecoveryCampaignConfig::paper(seed);
     let trials = env_u64("RIO_TRIALS", paper.trials_per_cell);
-    let threads = env_u64(
-        "RIO_THREADS",
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(4),
-    )
-    .max(1) as usize;
+    let threads = threads();
 
     let cfg = RecoveryCampaignConfig {
         trials_per_cell: trials,
-        use_checkpoint: checkpoint_enabled_from_env(),
         ..paper
     };
     eprintln!(

@@ -7,16 +7,16 @@
 //! Emits the human table on stdout (committed as `results_scale.txt`)
 //! and machine-readable JSON to `BENCH_scale.json` at the repository
 //! root — override with `RIO_BENCH_JSON`. Output is byte-identical at
-//! any `RIO_THREADS`: cells are deterministic in `(seed, cell)` and
-//! merged by index.
+//! any `RIO_THREADS` (default: the host's available parallelism): cells
+//! are deterministic in `(seed, cell)` and merged by index.
 
-use rio_bench::env_u64;
+use rio_bench::{env_u64, threads};
 use rio_harness::scale::ScaleGrid;
 use rio_harness::{render_scale, run_scale_parallel, scale_json};
 
 fn main() {
     let seed = env_u64("RIO_SEED", 1996);
-    let threads = env_u64("RIO_THREADS", 4) as usize;
+    let threads = threads();
     eprintln!(
         "scale-out grid: clients x devices, Rio vs write-through (seed {seed}, {threads} threads)..."
     );

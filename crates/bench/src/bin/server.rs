@@ -7,8 +7,8 @@
 //! Emits the human table on stdout (committed as `results_server.txt`)
 //! and machine-readable JSON to `BENCH_server.json` at the repository
 //! root — override with `RIO_BENCH_JSON`. Output is byte-identical at
-//! any `RIO_THREADS`: cells are deterministic in `(seed, cell)` and
-//! merged by index. `RIO_CLIENTS` (comma-separated, e.g.
+//! any `RIO_THREADS` (default: the host's available parallelism): cells
+//! are deterministic in `(seed, cell)` and merged by index. `RIO_CLIENTS` (comma-separated, e.g.
 //! `RIO_CLIENTS=8,32`) and `RIO_REQUESTS` shrink the sweep for CI
 //! smoke runs.
 //!
@@ -18,7 +18,7 @@
 //! relative error. A tail-latency table is only as honest as its
 //! histogram.
 
-use rio_bench::env_u64;
+use rio_bench::{env_u64, threads};
 use rio_harness::server::ServerGrid;
 use rio_harness::{render_server, run_server_parallel, server_json};
 use rio_obs::Histogram;
@@ -48,7 +48,7 @@ fn histogram_self_check() -> f64 {
 
 fn main() {
     let seed = env_u64("RIO_SEED", 1996);
-    let threads = env_u64("RIO_THREADS", 4) as usize;
+    let threads = threads();
     let worst = histogram_self_check();
     let mut grid = ServerGrid::small(seed);
     // CI smoke override: RIO_CLIENTS=8,32 shrinks the sweep.

@@ -6,27 +6,20 @@
 //! ```
 //!
 //! `RIO_CLIENTS` overrides the client-count sweep (comma-separated, e.g.
-//! `RIO_CLIENTS=1,4` for a CI smoke run). `RIO_CHECKPOINT=0` disables the
-//! checkpoint-fork engine (byte-identical output, slower preparation).
+//! `RIO_CLIENTS=1,4` for a CI smoke run). `RIO_THREADS` defaults to the
+//! host's available parallelism; the table is byte-identical at any value.
 
-use rio_bench::env_u64;
-use rio_faults::{checkpoint_enabled_from_env, ScaleCampaignConfig};
+use rio_bench::{env_u64, threads};
+use rio_faults::ScaleCampaignConfig;
 use rio_harness::{render_table1_scale, run_table1_scale};
 
 fn main() {
     let trials = env_u64("RIO_TRIALS", 10);
     let seed = env_u64("RIO_SEED", 1996);
-    let threads = env_u64(
-        "RIO_THREADS",
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(4),
-    )
-    .max(1) as usize;
+    let threads = threads();
 
     let mut cfg = ScaleCampaignConfig {
         trials_per_cell: trials,
-        use_checkpoint: checkpoint_enabled_from_env(),
         ..ScaleCampaignConfig::paper(seed)
     };
     if let Ok(spec) = std::env::var("RIO_CLIENTS") {

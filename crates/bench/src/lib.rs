@@ -3,8 +3,8 @@
 //! Binaries (run with `cargo run -p rio-bench --release --bin <name>`):
 //!
 //! * `table1` — regenerates the paper's Table 1 (reliability). Scale with
-//!   `RIO_TRIALS` (crashes per cell, default 50), `RIO_SEED`,
-//!   `RIO_THREADS`.
+//!   `RIO_TRIALS` (crashes per cell, default 1000), `RIO_SEED`,
+//!   `RIO_THREADS` (see [`threads`]).
 //! * `table2` — regenerates Table 2 (performance) plus the headline
 //!   ratios. `RIO_SEED` selects workload seeds.
 //! * `overhead` — the protection / code-patching overhead study.
@@ -22,6 +22,14 @@
 //!   binary's module docs.
 
 pub mod runner;
+
+/// Worker threads for the campaign and grid bins: `RIO_THREADS`, clamped
+/// to at least 1, or the host's available parallelism when unset or
+/// unparsable. Outputs are byte-identical at any value.
+pub fn threads() -> usize {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    env_u64("RIO_THREADS", nproc as u64).max(1) as usize
+}
 
 /// Reads a `u64` configuration value from the environment.
 pub fn env_u64(name: &str, default: u64) -> u64 {
@@ -44,5 +52,18 @@ mod tests {
         std::env::set_var("RIO_TEST_KNOB_XYZ", "junk");
         assert_eq!(env_u64("RIO_TEST_KNOB_XYZ", 7), 7);
         std::env::remove_var("RIO_TEST_KNOB_XYZ");
+    }
+
+    #[test]
+    fn threads_is_at_least_one() {
+        // The only test touching RIO_THREADS in this crate, so it cannot
+        // race another test's setting.
+        std::env::set_var("RIO_THREADS", "0");
+        assert_eq!(threads(), 1);
+        std::env::set_var("RIO_THREADS", "3");
+        assert_eq!(threads(), 3);
+        std::env::set_var("RIO_THREADS", "junk");
+        assert!(threads() >= 1);
+        std::env::remove_var("RIO_THREADS");
     }
 }

@@ -9,6 +9,8 @@
 //! * [`derive_seed`] — stream splitting: child seeds that are pure
 //!   functions of `(parent_seed, stream_index)`, so trial `k`'s randomness
 //!   never depends on how many trials ran before it.
+//! * [`par`] — the deterministic executor: a grid of cells folding
+//!   attempt streams over worker threads, identical at any thread count.
 //! * [`proptest_lite`] — a seeded property-test harness (case generation,
 //!   failure-seed reporting, bounded shrink) replacing the external
 //!   `proptest` dependency.
@@ -16,6 +18,7 @@
 //! * [`stats`] — the workspace's single percentile convention, shared by
 //!   the bench runner and the campaign summaries.
 
+pub mod par;
 pub mod proptest_lite;
 pub mod rng;
 pub mod stats;

@@ -22,7 +22,6 @@
 //! failure to replay it.
 
 use crate::rng::{derive_seed, DetRng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Maximum generation size (the ramp's ceiling).
 pub const MAX_SIZE: u32 = 100;
@@ -178,21 +177,8 @@ fn run_case<F>(prop: &mut F, case_seed: u64, size: u32) -> PropResult
 where
     F: FnMut(&mut Gen) -> PropResult,
 {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut gen = Gen::new(case_seed, size);
-        prop(&mut gen)
-    }));
-    match result {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "<non-string panic>".to_owned());
-            Err(format!("panicked: {msg}"))
-        }
-    }
+    crate::par::catch(|| prop(&mut Gen::new(case_seed, size)))
+        .unwrap_or_else(|msg| Err(format!("panicked: {msg}")))
 }
 
 /// Runs `prop` over seeded cases; panics with a reproducible report on the
@@ -294,6 +280,7 @@ macro_rules! pt_assert_ne {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn passing_property_runs_all_cases() {

@@ -443,7 +443,7 @@ impl SimDisk {
     /// Crashes the system at time `now`.
     ///
     /// * Writes already durable stay, as do writes the kernel observed as
-    ///   complete ([`SimDisk::harden`]).
+    ///   complete ([`SimDisk::harden_until`]).
     /// * The write in flight (started, not finished) leaves a **torn block**:
     ///   the first half of the new data lands, the second half keeps the old
     ///   contents, and the block is flagged torn.

@@ -11,24 +11,22 @@
 //! runs. Every trial's seed is a pure function of its grid coordinates
 //! ([`trial_seed`]), and each trial owns its whole simulated machine, so
 //! the campaign is embarrassingly parallel: [`run_campaign_parallel`]
-//! distributes *individual trials* over a worker pool and merges outcomes
-//! in attempt order, producing output byte-identical to the serial
-//! [`run_campaign`] at any thread count.
+//! runs it on the shared campaign engine, which distributes
+//! *individual trials* over worker threads and merges outcomes in attempt
+//! order, producing byte-identical output at any thread count.
 
-use crate::checkpoint::{CheckpointStore, TrialCheckpoint};
+use crate::checkpoint::TrialCheckpoint;
 use crate::driver::{drive, workload_seed, PreparedTrial, TrialObservation, TrialVerdict};
+use crate::engine::{self, Campaign};
 use crate::inject::FaultType;
 use rio_core::RioMode;
 use rio_det::derive_seed3;
 use rio_kernel::Policy;
 use rio_workloads::MemTestConfig;
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The three systems of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SystemKind {
     /// Write-through disk file system (fsync after every write; cold boot).
     DiskBased,
@@ -128,7 +126,7 @@ pub enum TrialOutcome {
 }
 
 /// One cell of Table 1 after `trials` runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellResult {
     /// Fault type (row).
     pub fault: FaultType,
@@ -152,7 +150,8 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    fn empty(fault: FaultType, system: SystemKind) -> CellResult {
+    /// A cell with no trials folded in.
+    pub fn empty(fault: FaultType, system: SystemKind) -> CellResult {
         CellResult {
             fault,
             system,
@@ -167,7 +166,7 @@ impl CellResult {
     }
 
     /// Folds one trial outcome into the cell counters.
-    fn absorb(&mut self, outcome: TrialOutcome) {
+    pub fn absorb(&mut self, outcome: TrialOutcome) {
         match outcome {
             TrialOutcome::NoCrash | TrialOutcome::Wedged => self.discarded += 1,
             TrialOutcome::Crashed {
@@ -272,10 +271,6 @@ pub struct CampaignConfig {
     pub watchdog_ops: u64,
     /// Cap on attempts per crash collected (discarded runs cost time).
     pub max_attempts_factor: u64,
-    /// Fork each trial from a per-cell steady-state checkpoint instead of
-    /// booting from scratch (identical results either way; see
-    /// [`crate::checkpoint`]). `RIO_CHECKPOINT=0` is the CLI escape hatch.
-    pub use_checkpoint: bool,
 }
 
 impl CampaignConfig {
@@ -287,7 +282,6 @@ impl CampaignConfig {
             warmup_ops: 40,
             watchdog_ops: 400,
             max_attempts_factor: 6,
-            use_checkpoint: true,
         }
     }
 
@@ -299,11 +293,11 @@ impl CampaignConfig {
             warmup_ops: 60,
             watchdog_ops: 800,
             max_attempts_factor: 8,
-            use_checkpoint: true,
         }
     }
 
-    fn max_attempts(&self) -> u64 {
+    /// Attempts per cell before a cell that has not met its quota stops.
+    pub fn max_attempts(&self) -> u64 {
         self.trials_per_cell * self.max_attempts_factor
     }
 }
@@ -370,28 +364,50 @@ pub fn run_trial_from(
     outcome_from(drive(checkpoint.fork(), fault, inject_seed, watchdog_ops))
 }
 
-/// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".to_owned())
-}
+/// The Table 1 grid as a campaign: cells share one steady-state
+/// checkpoint per system and stop at their crash quota.
+struct Table1<'a>(&'a CampaignConfig);
 
-/// Runs a trial closure behind a panic firewall: a trial that panics (a
-/// harness bug, not a simulated crash) is recorded as a corrupted crashed
-/// run instead of unwinding into the worker pool and poisoning the
-/// campaign mutex.
-fn firewall(trial: impl FnOnce() -> TrialOutcome) -> TrialOutcome {
-    let outcome = catch_unwind(AssertUnwindSafe(trial)).unwrap_or_else(|payload| {
-        // Surface the swallowed panic text to any open trace session as
-        // well as to the outcome message, so the Table 1 footer's
-        // unique-crash-messages count and a forensic trace agree.
-        let text = format!("harness panic: {}", panic_message(payload.as_ref()));
-        if rio_obs::is_enabled() {
-            rio_obs::note(rio_obs::EventCategory::TrialPanic, text.clone());
-        }
+impl Campaign for Table1<'_> {
+    type Coord = (FaultType, SystemKind);
+    type Key = SystemKind;
+    type Checkpoint = TrialCheckpoint;
+    type Outcome = TrialOutcome;
+    type Cell = CellResult;
+
+    /// Row-major (fault, system) order.
+    fn grid(&self) -> Vec<(FaultType, SystemKind)> {
+        FaultType::ALL
+            .iter()
+            .flat_map(|&f| SystemKind::ALL.iter().map(move |&s| (f, s)))
+            .collect()
+    }
+
+    fn max_attempts(&self) -> u64 {
+        self.0.max_attempts()
+    }
+
+    fn key(&self, &(_, system): &(FaultType, SystemKind)) -> SystemKind {
+        system
+    }
+
+    fn capture(&self, &(_, system): &(FaultType, SystemKind)) -> TrialCheckpoint {
+        TrialCheckpoint::capture(system, workload_seed(self.0.seed, system), self.0.warmup_ops)
+    }
+
+    fn trial(
+        &self,
+        checkpoint: &TrialCheckpoint,
+        &(fault, system): &(FaultType, SystemKind),
+        attempt: u64,
+    ) -> TrialOutcome {
+        let inj = trial_seed(self.0.seed, fault, system, attempt);
+        run_trial_from(checkpoint, fault, inj, self.0.watchdog_ops)
+    }
+
+    /// A corrupted crash carrying the panic text, so the unique-message
+    /// count and a forensic trace agree.
+    fn panicked(&self, _: &(FaultType, SystemKind), text: String) -> TrialOutcome {
         TrialOutcome::Crashed {
             corrupted: true,
             damage: usize::MAX,
@@ -402,289 +418,40 @@ fn firewall(trial: impl FnOnce() -> TrialOutcome) -> TrialOutcome {
             torn_data_blocks: 0,
             quarantined: 0,
         }
-    });
-    if rio_obs::is_enabled() {
-        // Verdict provenance: 0 = no crash, 1 = wedged, 2 = crashed clean,
-        // 3 = crashed corrupted.
-        let code = match &outcome {
+    }
+
+    fn verdict(&self, outcome: &TrialOutcome) -> u64 {
+        match outcome {
             TrialOutcome::NoCrash => 0,
             TrialOutcome::Wedged => 1,
-            TrialOutcome::Crashed { corrupted: false, .. } => 2,
-            TrialOutcome::Crashed { corrupted: true, .. } => 3,
-        };
-        rio_obs::emit(
-            rio_obs::EventCategory::TrialVerdict,
-            rio_obs::Payload::Count { value: code },
-        );
-    }
-    outcome
-}
-
-/// [`run_trial`] behind the panic firewall (legacy single-seed form).
-pub fn run_trial_caught(
-    system: SystemKind,
-    fault: FaultType,
-    seed: u64,
-    warmup_ops: u64,
-    watchdog_ops: u64,
-) -> TrialOutcome {
-    firewall(|| run_trial(system, fault, seed, warmup_ops, watchdog_ops))
-}
-
-/// Runs one campaign trial at its grid coordinates: the workload comes
-/// from the per-cell stream, the faults from the per-trial stream. With a
-/// `store`, the steady point is forked from the cell's checkpoint;
-/// without one, it is rebuilt from scratch — both feed the identical
-/// [`drive`] tail, so the outcome is the same either way (the
-/// `RIO_CHECKPOINT=0` escape hatch that verify.sh gates).
-fn run_grid_trial(
-    cfg: &CampaignConfig,
-    store: Option<&CheckpointStore>,
-    fault: FaultType,
-    system: SystemKind,
-    attempt: u64,
-) -> TrialOutcome {
-    let wl = workload_seed(cfg.seed, system);
-    let inj = trial_seed(cfg.seed, fault, system, attempt);
-    firewall(|| {
-        let prepared = match store {
-            Some(store) => store.get_or_capture(system, wl, cfg.warmup_ops).fork(),
-            None => PreparedTrial::prepare(system, wl, cfg.warmup_ops),
-        };
-        outcome_from(drive(prepared, fault, inj, cfg.watchdog_ops))
-    })
-}
-
-/// Locks a mutex, tolerating poison: per-trial state is only written under
-/// short critical sections that cannot be left half-updated, so a poisoned
-/// lock (a worker died outside the trial firewall) is still usable.
-pub(crate) fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The Table 1 grid, in row-major (fault, system) order.
-fn grid() -> Vec<(FaultType, SystemKind)> {
-    FaultType::ALL
-        .iter()
-        .flat_map(|&f| SystemKind::ALL.iter().map(move |&s| (f, s)))
-        .collect()
-}
-
-/// Runs the full campaign grid serially.
-///
-/// `progress` is called after each cell with the finished cell — the
-/// harness uses it for live reporting. [`run_campaign_parallel`] produces
-/// identical results faster.
-pub fn run_campaign(
-    cfg: &CampaignConfig,
-    mut progress: impl FnMut(&CellResult),
-) -> CampaignResult {
-    let store = cfg.use_checkpoint.then(CheckpointStore::new);
-    let mut cells = Vec::new();
-    for (fault, system) in grid() {
-        let cell = run_cell(cfg, store.as_ref(), fault, system);
-        progress(&cell);
-        cells.push(cell);
-    }
-    CampaignResult {
-        cells,
-        trials_per_cell: cfg.trials_per_cell,
-    }
-}
-
-/// Runs one (fault, system) cell to completion, serially.
-fn run_cell(
-    cfg: &CampaignConfig,
-    store: Option<&CheckpointStore>,
-    fault: FaultType,
-    system: SystemKind,
-) -> CellResult {
-    let mut cell = CellResult::empty(fault, system);
-    let mut attempt = 0u64;
-    while cell.crashes < cfg.trials_per_cell && attempt < cfg.max_attempts() {
-        cell.absorb(run_grid_trial(cfg, store, fault, system, attempt));
-        attempt += 1;
-    }
-    cell
-}
-
-/// Per-cell bookkeeping inside the parallel scheduler.
-struct CellState {
-    fault: FaultType,
-    system: SystemKind,
-    cell: CellResult,
-    /// Next attempt index to hand to a worker.
-    issued: u64,
-    /// Next attempt index to merge (all attempts below are folded in).
-    merged: u64,
-    /// Finished attempts waiting for their turn in the merge order.
-    parked: BTreeMap<u64, TrialOutcome>,
-    /// The cell reached its quota (or attempt cap): no more merging.
-    done: bool,
-}
-
-impl CellState {
-    /// Folds parked outcomes in attempt order, applying exactly the serial
-    /// stopping rule: an attempt counts iff, with all earlier attempts
-    /// merged, the quota was not yet met and the cap not yet reached.
-    fn drain_merges(&mut self, cfg: &CampaignConfig) {
-        while !self.done {
-            let Some(outcome) = self.parked.remove(&self.merged) else {
-                break;
-            };
-            self.merged += 1;
-            self.cell.absorb(outcome);
-            if self.cell.crashes >= cfg.trials_per_cell || self.merged >= cfg.max_attempts() {
-                self.done = true;
-                // Speculative results beyond the stopping point are
-                // discarded — the serial run never executed them.
-                self.parked.clear();
-            }
-        }
-    }
-}
-
-/// Shared scheduler state: the grid of cells plus a cursor that spreads
-/// speculative issuance round-robin across unfinished cells.
-struct Scheduler {
-    cells: Vec<CellState>,
-    cursor: usize,
-    unfinished: usize,
-    /// Per-cell bound on `issued - merged`: how far ahead of the merge
-    /// frontier workers may speculate. Trials past a cell's (unknown)
-    /// stopping point are wasted work, so the window trades idle threads
-    /// against waste.
-    window: u64,
-}
-
-impl Scheduler {
-    fn new(threads: usize) -> Scheduler {
-        let cells: Vec<CellState> = grid()
-            .into_iter()
-            .map(|(fault, system)| CellState {
-                fault,
-                system,
-                cell: CellResult::empty(fault, system),
-                issued: 0,
-                merged: 0,
-                parked: BTreeMap::new(),
-                done: false,
-            })
-            .collect();
-        let unfinished = cells.len();
-        Scheduler {
-            cells,
-            cursor: 0,
-            unfinished,
-            window: (threads as u64).max(2) * 2,
+            TrialOutcome::Crashed { corrupted, .. } => 2 + u64::from(*corrupted),
         }
     }
 
-    /// Hands out the next trial, if any cell can accept speculation.
-    fn next_task(&mut self, cfg: &CampaignConfig) -> Option<(usize, u64)> {
-        let n = self.cells.len();
-        for off in 0..n {
-            let i = (self.cursor + off) % n;
-            let c = &mut self.cells[i];
-            if c.done || c.issued >= cfg.max_attempts() || c.issued - c.merged >= self.window {
-                continue;
-            }
-            let attempt = c.issued;
-            c.issued += 1;
-            self.cursor = (i + 1) % n;
-            return Some((i, attempt));
-        }
-        None
+    fn cell(&self, &(fault, system): &(FaultType, SystemKind)) -> CellResult {
+        CellResult::empty(fault, system)
     }
 
-    /// Records a finished trial and advances the merge frontier.
-    fn complete(&mut self, idx: usize, attempt: u64, outcome: TrialOutcome, cfg: &CampaignConfig) {
-        let c = &mut self.cells[idx];
-        if c.done {
-            return; // speculative leftover of an already-finished cell
-        }
-        c.parked.insert(attempt, outcome);
-        let was_done = c.done;
-        c.drain_merges(cfg);
-        // A cell with the attempt cap exhausted and nothing in flight is
-        // also finished even if the quota was never met.
-        if !c.done && c.merged >= cfg.max_attempts() {
-            c.done = true;
-        }
-        if c.done && !was_done {
-            self.unfinished -= 1;
-        }
-    }
-
-    fn all_done(&self) -> bool {
-        self.unfinished == 0
-    }
-
-    fn into_result(self, cfg: &CampaignConfig) -> CampaignResult {
-        CampaignResult {
-            cells: self.cells.into_iter().map(|c| c.cell).collect(),
-            trials_per_cell: cfg.trials_per_cell,
-        }
+    fn absorb(&self, cell: &mut CellResult, outcome: TrialOutcome) -> bool {
+        cell.absorb(outcome);
+        cell.crashes >= self.0.trials_per_cell
     }
 }
 
 /// Runs the campaign with individual *trials* distributed over `threads`
-/// workers (`std::thread::scope`; no shared machine state — every trial
-/// builds its own kernel, memory, and disk).
+/// workers (no shared machine state — every trial forks its own kernel,
+/// memory, and disk from its cell's checkpoint).
 ///
-/// Results are byte-identical to [`run_campaign`] for any `threads`:
-/// every trial's seed is a pure function of its coordinates
-/// ([`trial_seed`]), and outcomes are merged in attempt order under the
-/// serial stopping rule, so execution order cannot leak into the report.
+/// Results are byte-identical for any `threads`: every trial's seed is a
+/// pure function of its coordinates ([`trial_seed`]), and outcomes are
+/// merged in attempt order under the serial stopping rule (a cell stops
+/// at its crash quota or its attempt cap), so execution order cannot leak
+/// into the report.
 pub fn run_campaign_parallel(cfg: &CampaignConfig, threads: usize) -> CampaignResult {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return run_campaign(cfg, |_| {});
+    CampaignResult {
+        cells: engine::run(&Table1(cfg), threads),
+        trials_per_cell: cfg.trials_per_cell,
     }
-    let store = cfg.use_checkpoint.then(CheckpointStore::new);
-    let state = Mutex::new(Scheduler::new(threads));
-    let wake = Condvar::new();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let task = {
-                    let mut s = lock_tolerant(&state);
-                    loop {
-                        if s.all_done() {
-                            break None;
-                        }
-                        match s.next_task(cfg) {
-                            Some(t) => break Some(t),
-                            // Every issueable trial is in flight; sleep
-                            // until a completion moves a merge frontier.
-                            None => {
-                                s = wake
-                                    .wait(s)
-                                    .unwrap_or_else(PoisonError::into_inner);
-                            }
-                        }
-                    }
-                };
-                let Some((idx, attempt)) = task else {
-                    wake.notify_all();
-                    break;
-                };
-                let (fault, system) = {
-                    let s = lock_tolerant(&state);
-                    (s.cells[idx].fault, s.cells[idx].system)
-                };
-                let outcome = run_grid_trial(cfg, store.as_ref(), fault, system, attempt);
-                let mut s = lock_tolerant(&state);
-                s.complete(idx, attempt, outcome, cfg);
-                drop(s);
-                wake.notify_all();
-            });
-        }
-    });
-    state
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_result(cfg)
 }
 
 #[cfg(test)]
@@ -789,20 +556,20 @@ mod tests {
         );
     }
 
+    fn tiny(seed: u64) -> CampaignConfig {
+        CampaignConfig {
+            trials_per_cell: 1,
+            seed,
+            warmup_ops: 15,
+            watchdog_ops: 120,
+            max_attempts_factor: 2,
+        }
+    }
+
     #[test]
     fn mini_campaign_produces_full_grid() {
-        let cfg = CampaignConfig {
-            trials_per_cell: 1,
-            seed: 99,
-            warmup_ops: 20,
-            watchdog_ops: 150,
-            max_attempts_factor: 4,
-            use_checkpoint: true,
-        };
-        let mut cells_seen = 0;
-        let result = run_campaign(&cfg, |_| cells_seen += 1);
+        let result = run_campaign_parallel(&tiny(99), 1);
         assert_eq!(result.cells.len(), 13 * 3);
-        assert_eq!(cells_seen, 13 * 3);
         // At least some crashes were collected somewhere.
         let total: u64 = SystemKind::ALL
             .iter()
@@ -813,50 +580,24 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_and_scratch_campaigns_agree_exactly() {
-        let mut cfg = CampaignConfig {
-            trials_per_cell: 1,
-            seed: 41,
-            warmup_ops: 15,
-            watchdog_ops: 120,
-            max_attempts_factor: 2,
-            use_checkpoint: true,
+    fn engine_matches_the_scratch_reference_at_any_thread_count() {
+        let cfg = CampaignConfig {
+            trials_per_cell: 2,
+            max_attempts_factor: 3,
+            ..tiny(7)
         };
-        let forked = run_campaign(&cfg, |_| {});
-        cfg.use_checkpoint = false;
-        let scratch = run_campaign(&cfg, |_| {});
-        for (a, b) in forked.cells.iter().zip(&scratch.cells) {
-            assert_eq!(a.crashes, b.crashes, "{} / {}", a.fault, a.system);
-            assert_eq!(a.corruptions, b.corruptions, "{} / {}", a.fault, a.system);
-            assert_eq!(a.discarded, b.discarded, "{} / {}", a.fault, a.system);
-            assert_eq!(a.protection_traps, b.protection_traps);
-            assert_eq!(a.torn_data_blocks, b.torn_data_blocks);
-            assert_eq!(a.quarantined, b.quarantined);
-            assert_eq!(a.messages, b.messages);
+        let reference = engine::scratch(&Table1(&cfg));
+        for threads in [1, 4] {
+            assert_eq!(run_campaign_parallel(&cfg, threads).cells, reference, "{threads} threads");
         }
     }
 
     #[test]
-    fn parallel_campaign_matches_serial_exactly() {
-        let cfg = CampaignConfig {
-            trials_per_cell: 2,
-            seed: 7,
-            warmup_ops: 15,
-            watchdog_ops: 120,
-            max_attempts_factor: 3,
-            use_checkpoint: true,
-        };
-        let serial = run_campaign(&cfg, |_| {});
-        let parallel = run_campaign_parallel(&cfg, 4);
-        assert_eq!(serial.trials_per_cell, parallel.trials_per_cell);
-        for (a, b) in serial.cells.iter().zip(&parallel.cells) {
-            assert_eq!(a.fault, b.fault);
-            assert_eq!(a.system, b.system);
-            assert_eq!(a.crashes, b.crashes, "{} / {}", a.fault, a.system);
-            assert_eq!(a.corruptions, b.corruptions, "{} / {}", a.fault, a.system);
-            assert_eq!(a.discarded, b.discarded, "{} / {}", a.fault, a.system);
-            assert_eq!(a.protection_traps, b.protection_traps);
-            assert_eq!(a.messages, b.messages);
-        }
+    fn panicking_trial_is_contained() {
+        let cfg = tiny(41);
+        let target = 5; // second fault row, Rio with protection
+        engine::tests::panic_is_contained(&Table1(&cfg), target, |c| {
+            c.corruptions >= 1 && c.messages.contains("harness panic: injected harness fault")
+        });
     }
 }

@@ -12,13 +12,15 @@
 //! Equivalence with the scratch path is structural: both paths produce a
 //! [`crate::driver::PreparedTrial`] — one via [`PreparedTrial::prepare`],
 //! one via a clone of the same — and hand it to the same
-//! [`crate::driver::drive`]. The proptest suite and the verify.sh
-//! `RIO_CHECKPOINT=0` vs `=1` smoke gate that the two are byte-identical.
+//! [`crate::driver::drive`]. The proptest suite and the Table 1
+//! equivalence test (`tests/checkpoint_equivalence.rs`, which renders the
+//! table through the engine and through a scratch-boot reference) gate
+//! that the two are byte-identical.
 
 use crate::campaign::SystemKind;
 use crate::driver::PreparedTrial;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A frozen steady point for one campaign cell.
 #[derive(Debug, Clone)]
@@ -49,15 +51,16 @@ impl TrialCheckpoint {
     }
 }
 
-/// A concurrency-safe memo: capture-once, share-forever. Workers racing
-/// for the same key serialize on the mutex; the first one in captures
-/// while the rest wait, so each cell's steady point is built exactly once
-/// per campaign regardless of thread count.
+/// A concurrency-safe memo: capture once per key, share forever. The map
+/// lock only finds or inserts a key's slot; the capture itself runs under
+/// that key's own [`OnceLock`], so workers needing different keys capture
+/// concurrently while workers needing the same key wait for its one
+/// capture.
 pub(crate) struct Memo<K, V> {
-    map: Mutex<BTreeMap<K, Arc<V>>>,
+    map: Mutex<BTreeMap<K, Arc<OnceLock<Arc<V>>>>>,
 }
 
-impl<K: Ord + Clone, V> Memo<K, V> {
+impl<K: Ord, V> Memo<K, V> {
     pub(crate) fn new() -> Memo<K, V> {
         Memo {
             map: Mutex::new(BTreeMap::new()),
@@ -65,64 +68,78 @@ impl<K: Ord + Clone, V> Memo<K, V> {
     }
 
     pub(crate) fn get_or_insert_with(&self, key: K, f: impl FnOnce() -> V) -> Arc<V> {
-        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        map.entry(key).or_insert_with(|| Arc::new(f())).clone()
+        // Poison-tolerant: the lock guards a single find-or-insert, which
+        // cannot leave the map half-updated.
+        let slot = self
+            .map
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_default()
+            .clone();
+        slot.get_or_init(|| Arc::new(f())).clone()
     }
-}
-
-/// Lazily captured checkpoints for the Table 1 grid, shared across the
-/// campaign's worker threads. Keyed by `(system, workload seed, warmup
-/// ops)`, so one store can serve mixed configurations.
-pub struct CheckpointStore {
-    cells: Memo<(u64, u64, u64), TrialCheckpoint>,
-}
-
-impl CheckpointStore {
-    /// An empty store.
-    pub fn new() -> CheckpointStore {
-        CheckpointStore { cells: Memo::new() }
-    }
-
-    /// The checkpoint for one cell, capturing it on first use.
-    pub fn get_or_capture(
-        &self,
-        system: SystemKind,
-        workload_seed: u64,
-        warmup_ops: u64,
-    ) -> Arc<TrialCheckpoint> {
-        self.cells
-            .get_or_insert_with((system as u64, workload_seed, warmup_ops), || {
-                TrialCheckpoint::capture(system, workload_seed, warmup_ops)
-            })
-    }
-}
-
-impl Default for CheckpointStore {
-    fn default() -> Self {
-        CheckpointStore::new()
-    }
-}
-
-/// Reads the `RIO_CHECKPOINT` escape hatch: `0` forces the scratch path,
-/// anything else (including unset) enables checkpoint forking.
-pub fn checkpoint_enabled_from_env() -> bool {
-    std::env::var("RIO_CHECKPOINT").map(|v| v != "0").unwrap_or(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::workload_seed;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
-    fn store_captures_each_cell_once() {
-        let store = CheckpointStore::new();
-        let wl = workload_seed(5, SystemKind::RioWithProtection);
-        let a = store.get_or_capture(SystemKind::RioWithProtection, wl, 10);
-        let b = store.get_or_capture(SystemKind::RioWithProtection, wl, 10);
-        assert!(Arc::ptr_eq(&a, &b), "same cell must share one capture");
-        let c = store.get_or_capture(SystemKind::DiskBased, wl, 10);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert!(!a.wedged());
+    fn same_key_is_captured_exactly_once() {
+        let memo = Memo::new();
+        let captures = AtomicU64::new(0);
+        let got = rio_det::par::run(
+            4,
+            2,
+            vec![None; 8],
+            |_, _| {
+                memo.get_or_insert_with(7u8, || {
+                    captures.fetch_add(1, Ordering::SeqCst);
+                    "steady point"
+                })
+            },
+            |seen: &mut Option<Arc<&str>>, v| {
+                *seen = Some(v.expect("capture does not panic"));
+                false
+            },
+        );
+        assert_eq!(captures.load(Ordering::SeqCst), 1);
+        let first = got[0].as_ref().expect("every cell ran");
+        assert!(got.iter().all(|v| Arc::ptr_eq(v.as_ref().expect("ran"), first)));
+    }
+
+    #[test]
+    fn different_keys_capture_concurrently() {
+        // Each key's capture announces itself, then waits to hear from the
+        // other: a store-wide lock held across captures would make the
+        // second capture wait for the first, which never finishes.
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| mpsc::channel::<()>()).unzip();
+        let txs: Vec<Mutex<mpsc::Sender<()>>> = txs.into_iter().map(Mutex::new).collect();
+        let rxs: Vec<Mutex<mpsc::Receiver<()>>> = rxs.into_iter().map(Mutex::new).collect();
+        let memo = Memo::new();
+        let met = rio_det::par::run(
+            2,
+            1,
+            vec![false; 2],
+            |i, _| {
+                *memo.get_or_insert_with(i, || {
+                    let _ = txs[1 - i].lock().expect("one sender per key").send(());
+                    rxs[i]
+                        .lock()
+                        .expect("one receiver per key")
+                        .recv_timeout(Duration::from_secs(20))
+                        .is_ok()
+                })
+            },
+            |met, r| {
+                *met = r.expect("capture does not panic");
+                true
+            },
+        );
+        assert_eq!(met, vec![true, true], "captures of different keys serialized");
     }
 }

@@ -20,7 +20,7 @@
 //! blocks) is counted separately: losing data loudly is allowed, losing
 //! it silently is not.
 
-use crate::campaign::{lock_tolerant, panic_message};
+use crate::engine::{self, Campaign};
 use rio_core::RioMode;
 use rio_det::{derive_seed3, DetRng};
 use rio_disk::{DiskFault, SimDisk};
@@ -30,8 +30,6 @@ use rio_kernel::{
 };
 use rio_mem::PhysMem;
 use rio_workloads::{MemTest, MemTestConfig};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
 /// What (besides the second crashes) is wrong with the surviving state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -262,10 +260,6 @@ pub struct RecoveryCampaignConfig {
     pub warmup_ops: u64,
     /// Maximum second-crash depth (columns k = 1..=max_depth).
     pub max_depth: u64,
-    /// Capture the first-crash artifacts once per campaign and fork them
-    /// per trial instead of re-warming per trial (identical results
-    /// either way; `RIO_CHECKPOINT=0` is the CLI escape hatch).
-    pub use_checkpoint: bool,
 }
 
 impl RecoveryCampaignConfig {
@@ -276,7 +270,6 @@ impl RecoveryCampaignConfig {
             seed,
             warmup_ops: 30,
             max_depth: 3,
-            use_checkpoint: true,
         }
     }
 
@@ -287,7 +280,6 @@ impl RecoveryCampaignConfig {
             seed,
             warmup_ops: 60,
             max_depth: 3,
-            use_checkpoint: true,
         }
     }
 }
@@ -406,24 +398,9 @@ impl RecoveryCheckpoint {
     }
 }
 
-/// Runs one recovery trial; see the module docs for the procedure.
-///
-/// Legacy single-seed entry point: the one seed feeds the warmup
-/// (workload = `seed ^ 0x5EED`) and the per-trial damage/crash-point
-/// stream (`seed`), as it always did. Campaigns capture one
-/// [`RecoveryCheckpoint`] and use [`run_recovery_trial_from`].
-pub fn run_recovery_trial(
-    scenario: RecoveryScenario,
-    depth: u64,
-    seed: u64,
-    warmup_ops: u64,
-) -> RecoveryTrialOutcome {
-    let cp = RecoveryCheckpoint::capture(seed ^ 0x5EED, warmup_ops);
-    run_recovery_trial_from(&cp, scenario, depth, seed)
-}
-
-/// Runs one recovery trial from captured first-crash artifacts, drawing
-/// the scenario damage and second-crash points from `inject_seed`.
+/// Runs one recovery trial (see the module docs for the procedure) from
+/// captured first-crash artifacts, drawing the scenario damage and
+/// second-crash points from `inject_seed`.
 pub fn run_recovery_trial_from(
     checkpoint: &RecoveryCheckpoint,
     scenario: RecoveryScenario,
@@ -535,146 +512,76 @@ pub fn run_recovery_trial_from(
     outcome
 }
 
-/// Runs a recovery-trial closure behind the same panic firewall as the
-/// Table 1 campaign: a panicking trial is a diverged result, not a dead
-/// pool.
-fn recovery_firewall(trial: impl FnOnce() -> RecoveryTrialOutcome) -> RecoveryTrialOutcome {
-    catch_unwind(AssertUnwindSafe(trial)).unwrap_or_else(|payload| {
-        // Do not swallow the panic text: surface it to any open trace
-        // session so a forensic replay of the trial can report *why* the
-        // harness died, not just that it did.
-        let text = format!("harness panic: {}", panic_message(payload.as_ref()));
-        if rio_obs::is_enabled() {
-            rio_obs::note(rio_obs::EventCategory::TrialPanic, text);
-        }
-        RecoveryTrialOutcome::panic_outcome()
-    })
-}
+/// The recovery grid as a campaign: every trial forks the one
+/// first-crash checkpoint, and every cell runs its fixed trial count.
+struct Recovery<'a>(&'a RecoveryCampaignConfig);
 
-/// [`run_recovery_trial`] behind the panic firewall (legacy single-seed
-/// form).
-pub fn run_recovery_trial_caught(
-    scenario: RecoveryScenario,
-    depth: u64,
-    seed: u64,
-    warmup_ops: u64,
-) -> RecoveryTrialOutcome {
-    recovery_firewall(|| run_recovery_trial(scenario, depth, seed, warmup_ops))
-}
+impl Campaign for Recovery<'_> {
+    type Coord = (RecoveryScenario, u64);
+    type Key = ();
+    type Checkpoint = RecoveryCheckpoint;
+    type Outcome = RecoveryTrialOutcome;
+    type Cell = RecoveryCellResult;
 
-/// Runs one recovery-campaign trial at its grid coordinates, forking the
-/// shared checkpoint when one is given and re-capturing from scratch
-/// otherwise — both through the identical trial tail.
-fn run_recovery_grid_trial(
-    cfg: &RecoveryCampaignConfig,
-    checkpoint: Option<&RecoveryCheckpoint>,
-    scenario: RecoveryScenario,
-    depth: u64,
-    trial: u64,
-) -> RecoveryTrialOutcome {
-    let inj = recovery_trial_seed(cfg.seed, scenario, depth, trial);
-    recovery_firewall(|| match checkpoint {
-        Some(cp) => run_recovery_trial_from(cp, scenario, depth, inj),
-        None => {
-            let cp = RecoveryCheckpoint::capture(recovery_workload_seed(cfg.seed), cfg.warmup_ops);
-            run_recovery_trial_from(&cp, scenario, depth, inj)
-        }
-    })
-}
-
-/// The (scenario, depth) grid, scenario-major.
-fn recovery_grid(cfg: &RecoveryCampaignConfig) -> Vec<(RecoveryScenario, u64)> {
-    RecoveryScenario::ALL
-        .iter()
-        .flat_map(|&s| (1..=cfg.max_depth).map(move |d| (s, d)))
-        .collect()
-}
-
-/// Runs the recovery campaign serially; `progress` sees each finished
-/// cell.
-pub fn run_recovery_campaign(
-    cfg: &RecoveryCampaignConfig,
-    mut progress: impl FnMut(&RecoveryCellResult),
-) -> RecoveryCampaignResult {
-    let checkpoint = cfg
-        .use_checkpoint
-        .then(|| RecoveryCheckpoint::capture(recovery_workload_seed(cfg.seed), cfg.warmup_ops));
-    let mut cells = Vec::new();
-    for (scenario, depth) in recovery_grid(cfg) {
-        let mut cell = RecoveryCellResult::empty(scenario, depth);
-        for trial in 0..cfg.trials_per_cell {
-            cell.absorb(&run_recovery_grid_trial(
-                cfg,
-                checkpoint.as_ref(),
-                scenario,
-                depth,
-                trial,
-            ));
-        }
-        progress(&cell);
-        cells.push(cell);
+    /// (scenario, depth), scenario-major.
+    fn grid(&self) -> Vec<(RecoveryScenario, u64)> {
+        RecoveryScenario::ALL
+            .iter()
+            .flat_map(|&s| (1..=self.0.max_depth).map(move |d| (s, d)))
+            .collect()
     }
-    RecoveryCampaignResult {
-        cells,
-        trials_per_cell: cfg.trials_per_cell,
+
+    fn max_attempts(&self) -> u64 {
+        self.0.trials_per_cell
+    }
+
+    fn key(&self, _: &(RecoveryScenario, u64)) {}
+
+    fn capture(&self, _: &(RecoveryScenario, u64)) -> RecoveryCheckpoint {
+        RecoveryCheckpoint::capture(recovery_workload_seed(self.0.seed), self.0.warmup_ops)
+    }
+
+    fn trial(
+        &self,
+        checkpoint: &RecoveryCheckpoint,
+        &(scenario, depth): &(RecoveryScenario, u64),
+        trial: u64,
+    ) -> RecoveryTrialOutcome {
+        let inj = recovery_trial_seed(self.0.seed, scenario, depth, trial);
+        run_recovery_trial_from(checkpoint, scenario, depth, inj)
+    }
+
+    /// A diverged trial: a harness panic is never a converged recovery.
+    fn panicked(&self, _: &(RecoveryScenario, u64), _: String) -> RecoveryTrialOutcome {
+        RecoveryTrialOutcome::panic_outcome()
+    }
+
+    fn verdict(&self, outcome: &RecoveryTrialOutcome) -> u64 {
+        2 + u64::from(!outcome.converged())
+    }
+
+    fn cell(&self, &(scenario, depth): &(RecoveryScenario, u64)) -> RecoveryCellResult {
+        RecoveryCellResult::empty(scenario, depth)
+    }
+
+    /// Never stops early: the trial count is fixed, so thread count
+    /// cannot influence which trials run.
+    fn absorb(&self, cell: &mut RecoveryCellResult, outcome: RecoveryTrialOutcome) -> bool {
+        cell.absorb(&outcome);
+        false
     }
 }
 
 /// Runs the recovery campaign with trials distributed over `threads`
 /// workers. The trial count per cell is fixed and every seed is a pure
-/// function of its coordinates, so results are identical to the serial
-/// run at any thread count: workers claim (cell, trial) slots from a
-/// shared cursor and deposit outcomes into their fixed positions; folding
-/// happens afterwards, in index order.
+/// function of its coordinates, so results are identical at any thread
+/// count.
 pub fn run_recovery_campaign_parallel(
     cfg: &RecoveryCampaignConfig,
     threads: usize,
 ) -> RecoveryCampaignResult {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return run_recovery_campaign(cfg, |_| {});
-    }
-    let checkpoint = cfg
-        .use_checkpoint
-        .then(|| RecoveryCheckpoint::capture(recovery_workload_seed(cfg.seed), cfg.warmup_ops));
-    let grid = recovery_grid(cfg);
-    let total = grid.len() * cfg.trials_per_cell as usize;
-    let slots: Mutex<Vec<Option<RecoveryTrialOutcome>>> = Mutex::new(vec![None; total]);
-    let cursor = Mutex::new(0usize);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut c = cursor.lock().unwrap_or_else(PoisonError::into_inner);
-                    if *c >= total {
-                        break;
-                    }
-                    let idx = *c;
-                    *c += 1;
-                    idx
-                };
-                let (scenario, depth) = grid[idx / cfg.trials_per_cell as usize];
-                let trial = (idx % cfg.trials_per_cell as usize) as u64;
-                let outcome =
-                    run_recovery_grid_trial(cfg, checkpoint.as_ref(), scenario, depth, trial);
-                lock_tolerant(&slots)[idx] = Some(outcome);
-            });
-        }
-    });
-    let slots = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let mut cells = Vec::new();
-    for (i, (scenario, depth)) in grid.iter().enumerate() {
-        let mut cell = RecoveryCellResult::empty(*scenario, *depth);
-        for t in 0..cfg.trials_per_cell as usize {
-            let outcome = slots[i * cfg.trials_per_cell as usize + t]
-                .as_ref()
-                .expect("all slots filled");
-            cell.absorb(outcome);
-        }
-        cells.push(cell);
-    }
     RecoveryCampaignResult {
-        cells,
+        cells: engine::run(&Recovery(cfg), threads),
         trials_per_cell: cfg.trials_per_cell,
     }
 }
@@ -682,6 +589,17 @@ pub fn run_recovery_campaign_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One trial from its own warmup, both streams from one seed.
+    fn run_recovery_trial(
+        scenario: RecoveryScenario,
+        depth: u64,
+        seed: u64,
+        warmup_ops: u64,
+    ) -> RecoveryTrialOutcome {
+        let cp = RecoveryCheckpoint::capture(seed ^ 0x5EED, warmup_ops);
+        run_recovery_trial_from(&cp, scenario, depth, seed)
+    }
 
     #[test]
     fn clean_recrash_converges_at_every_depth() {
@@ -747,29 +665,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_recovery_campaign_matches_serial() {
-        let cfg = RecoveryCampaignConfig {
+    fn tiny() -> RecoveryCampaignConfig {
+        RecoveryCampaignConfig {
             trials_per_cell: 1,
             seed: 11,
             warmup_ops: 20,
             max_depth: 2,
-            use_checkpoint: true,
-        };
-        let serial = run_recovery_campaign(&cfg, |_| {});
-        let parallel = run_recovery_campaign_parallel(&cfg, 4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.total_diverged(), 0);
+        }
+    }
+
+    #[test]
+    fn engine_matches_the_scratch_reference_at_any_thread_count() {
+        let cfg = tiny();
+        let reference = engine::scratch(&Recovery(&cfg));
+        for threads in [1, 4] {
+            let got = run_recovery_campaign_parallel(&cfg, threads);
+            assert_eq!(got.cells, reference, "{threads} threads");
+            assert_eq!(got.total_diverged(), 0);
+        }
     }
 
     #[test]
     fn panicking_trial_is_contained() {
-        // A depth of 0 with an absurd seed cannot panic by construction;
-        // instead, verify the firewall wrapper passes through normal
-        // outcomes unchanged.
-        let a = run_recovery_trial(RecoveryScenario::Clean, 1, 3, 20);
-        let b = run_recovery_trial_caught(RecoveryScenario::Clean, 1, 3, 20);
-        assert_eq!(a, b);
-        assert!(!b.harness_panic);
+        engine::tests::panic_is_contained(&Recovery(&tiny()), 2, |c| c.diverged == 1);
     }
 }

@@ -4,14 +4,18 @@
 //! campaign coordinates, and no matter how many forks the checkpoint has
 //! already served.
 //!
-//! This is the invariant that makes `RIO_CHECKPOINT=0` a pure escape hatch
-//! (same bytes, slower) and lets verify.sh gate the two paths with `cmp`.
+//! The scratch-boot path survives only here, as the reference: the
+//! ignored Table 1 gate below renders the smoke-scale table both through
+//! the campaign engine and through a serial scratch loop and compares the
+//! bytes (verify.sh runs it with `--release -- --ignored`).
 
 use rio_det::proptest_lite::{check, Config, Gen};
 use rio_faults::campaign::trial_seed;
 use rio_faults::{
-    drive, run_trial_from, workload_seed, FaultType, PreparedTrial, SystemKind, TrialCheckpoint,
+    drive, run_campaign_parallel, run_trial_from, workload_seed, CampaignConfig, CampaignResult,
+    CellResult, FaultType, PreparedTrial, SystemKind, TrialCheckpoint,
 };
+use rio_harness::{render_table1, Table1Report};
 
 #[test]
 fn forked_trials_match_scratch_at_random_coordinates() {
@@ -42,4 +46,43 @@ fn forked_trials_match_scratch_at_random_coordinates() {
             Ok(())
         },
     );
+}
+
+/// Table 1 the way the campaign engine defines it, without the engine:
+/// cells in order, attempts in order until the crash quota or the cap,
+/// every trial booted and warmed up from scratch.
+fn scratch_campaign(cfg: &CampaignConfig) -> CampaignResult {
+    let mut cells = Vec::new();
+    for fault in FaultType::ALL {
+        for system in SystemKind::ALL {
+            let wl = workload_seed(cfg.seed, system);
+            let mut cell = CellResult::empty(fault, system);
+            for attempt in 0..cfg.max_attempts() {
+                if cell.crashes >= cfg.trials_per_cell {
+                    break;
+                }
+                let scratch = TrialCheckpoint::capture(system, wl, cfg.warmup_ops);
+                let inj = trial_seed(cfg.seed, fault, system, attempt);
+                cell.absorb(run_trial_from(&scratch, fault, inj, cfg.watchdog_ops));
+            }
+            cells.push(cell);
+        }
+    }
+    CampaignResult {
+        cells,
+        trials_per_cell: cfg.trials_per_cell,
+    }
+}
+
+#[test]
+#[ignore = "paper-config smoke (minutes in debug); verify.sh runs it in release"]
+fn table1_smoke_renders_identically_from_checkpoints_and_from_scratch() {
+    let cfg = CampaignConfig {
+        trials_per_cell: 3,
+        ..CampaignConfig::paper(1996)
+    };
+    let engine = render_table1(&Table1Report::new(run_campaign_parallel(&cfg, 2)));
+    let scratch = render_table1(&Table1Report::new(scratch_campaign(&cfg)));
+    assert_eq!(engine, scratch);
+    assert!(engine.contains("95% confidence intervals (Wilson)"));
 }

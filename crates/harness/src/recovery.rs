@@ -116,7 +116,6 @@ mod tests {
             seed: 9,
             warmup_ops: 25,
             max_depth: 2,
-            use_checkpoint: true,
         };
         let report = run_recovery(&cfg, 2);
         let text = render_recovery(&report);

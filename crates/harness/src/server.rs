@@ -10,9 +10,9 @@
 //! synchronous commits make it collapse?
 //!
 //! Every cell runs on a freshly formatted machine (Table 2 discipline)
-//! and is deterministic in `(seed, cell)`; the parallel runner
-//! distributes cells over a worker pool and merges by index, so output
-//! is byte-identical at any `RIO_THREADS`. Latencies come from
+//! and is deterministic in `(seed, cell)`; the grid runs on the
+//! deterministic executor ([`rio_det::par`]) as one attempt per cell, so
+//! output is byte-identical at any `RIO_THREADS`. Latencies come from
 //! [`rio_obs::Histogram`], whose log-linear buckets bound percentile
 //! error at ≤ 1/16 — tight enough that a p999 headline means something.
 
@@ -22,8 +22,6 @@ use rio_disk::SimTime;
 use rio_kernel::{Kernel, KernelConfig, Policy};
 use rio_obs::Histogram;
 use rio_workloads::{Server, ServerConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Grid parameters for a server run.
 #[derive(Debug, Clone)]
@@ -191,49 +189,14 @@ fn run_cell(grid: &ServerGrid, system: &'static str, clients: usize) -> ServerCe
     }
 }
 
-/// Runs the grid serially.
-pub fn run_server(grid: &ServerGrid) -> ServerGridReport {
-    let cells = grid_points(grid)
-        .into_iter()
-        .map(|(system, clients)| run_cell(grid, system, clients))
-        .collect();
-    ServerGridReport {
-        cells,
-        grid: grid.clone(),
-    }
-}
-
-/// Runs the grid's independent cells over `threads` workers. Output is
-/// byte-identical to [`run_server`]: cells are claimed from an atomic
-/// counter and merged back by index.
+/// Runs the grid's independent cells over `threads` workers, one
+/// attempt per cell, merged by cell index.
 pub fn run_server_parallel(grid: &ServerGrid, threads: usize) -> ServerGridReport {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return run_server(grid);
-    }
     let points = grid_points(grid);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ServerCell>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((system, clients)) = points.get(i) else {
-                    break;
-                };
-                let cell = run_cell(grid, system, *clients);
-                *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(cell);
-            });
-        }
+    let cells = rio_det::par::map(threads, points.len(), |i| {
+        let (system, clients) = points[i];
+        run_cell(grid, system, clients)
     });
-    let cells = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every cell ran")
-        })
-        .collect();
     ServerGridReport {
         cells,
         grid: grid.clone(),
@@ -339,9 +302,21 @@ pub fn server_json(report: &ServerGridReport) -> String {
 mod tests {
     use super::*;
 
+    /// The reference the executor is tested against: the cells in order.
+    fn run_server(grid: &ServerGrid) -> ServerGridReport {
+        let cells = grid_points(grid)
+            .into_iter()
+            .map(|(system, clients)| run_cell(grid, system, clients))
+            .collect();
+        ServerGridReport {
+            cells,
+            grid: grid.clone(),
+        }
+    }
+
     #[test]
     fn tiny_grid_runs_and_rio_tail_wins() {
-        let report = run_server(&ServerGrid::tiny(3));
+        let report = run_server_parallel(&ServerGrid::tiny(3), 2);
         assert_eq!(report.cells.len(), 2 * SYSTEMS.len());
         for cell in &report.cells {
             assert_eq!(
@@ -372,7 +347,7 @@ mod tests {
     fn commit_tail_orders_systems_sanely() {
         // memfs commits are pure memory; write-through commits hit the
         // disk synchronously. The commit p999 must reflect that order.
-        let report = run_server(&ServerGrid::tiny(11));
+        let report = run_server_parallel(&ServerGrid::tiny(11), 2);
         let c = *report.grid.clients.iter().max().unwrap();
         let mem = report.cell("memfs", c).commit.percentile(0.999);
         let wt = report.cell("UFS write-through", c).commit.percentile(0.999);

@@ -55,23 +55,29 @@ pub struct Table1Report {
 
 /// Runs the Table 1 campaign at the given configuration.
 pub fn run_table1(cfg: &CampaignConfig, threads: usize) -> Table1Report {
-    let campaign = run_campaign_parallel(cfg, threads);
-    let mttf = SystemKind::ALL
-        .iter()
-        .map(|&s| {
-            MttfEstimate::from_counts(campaign.total_corruptions(s), campaign.total_crashes(s))
-        })
-        .collect();
-    let protection_traps = SystemKind::ALL
-        .iter()
-        .map(|&s| campaign.total_protection_traps(s))
-        .collect();
-    let unique_messages = campaign.unique_messages().len();
-    Table1Report {
-        campaign,
-        mttf,
-        protection_traps,
-        unique_messages,
+    Table1Report::new(run_campaign_parallel(cfg, threads))
+}
+
+impl Table1Report {
+    /// Derives the §3.3 statistics from a finished campaign.
+    pub fn new(campaign: CampaignResult) -> Table1Report {
+        let mttf = SystemKind::ALL
+            .iter()
+            .map(|&s| {
+                MttfEstimate::from_counts(campaign.total_corruptions(s), campaign.total_crashes(s))
+            })
+            .collect();
+        let protection_traps = SystemKind::ALL
+            .iter()
+            .map(|&s| campaign.total_protection_traps(s))
+            .collect();
+        let unique_messages = campaign.unique_messages().len();
+        Table1Report {
+            campaign,
+            mttf,
+            protection_traps,
+            unique_messages,
+        }
     }
 }
 
@@ -218,7 +224,6 @@ mod tests {
             warmup_ops: 15,
             watchdog_ops: 120,
             max_attempts_factor: 3,
-            use_checkpoint: true,
         };
         let report = run_table1(&cfg, 4);
         let text = render_table1(&report);

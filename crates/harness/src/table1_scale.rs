@@ -217,7 +217,6 @@ mod tests {
             watchdog_quanta: 1_500,
             max_attempts_factor: 2,
             client_counts: vec![1, 3],
-            use_checkpoint: true,
         }
     }
 

@@ -34,8 +34,8 @@ pub struct RioState {
     /// authoritative in-kernel descriptor, mirroring how a real kernel keeps
     /// native buf structs and treats the registry as the crash-surviving
     /// encoding. Reads skip the 40-byte bus decode; writes go through
-    /// [`Kernel::rio_write_entry`] (write-through) and
-    /// [`Kernel::rio_clear_entry`] (invalidate). Dies with the kernel at a
+    /// the kernel's `rio_write_entry` (write-through) and
+    /// `rio_clear_entry` (invalidate). Dies with the kernel at a
     /// crash, like every other host-side structure.
     pub entry_cache: HashMap<PageNum, RegistryEntry>,
 }

@@ -15,24 +15,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
-echo "== cargo doc --no-deps (warnings are errors) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+echo "== cargo doc --workspace --no-deps (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "== smoke campaign: checkpoint-fork vs scratch byte-equality (RIO_TRIALS=3) =="
-t1_cp="$(mktemp)"
-t1_sc="$(mktemp)"
-RIO_TRIALS=3 RIO_CHECKPOINT=1 cargo run -q --release -p rio-bench --bin table1 > "$t1_cp"
-RIO_TRIALS=3 RIO_CHECKPOINT=0 cargo run -q --release -p rio-bench --bin table1 > "$t1_sc"
-cmp "$t1_cp" "$t1_sc"
-grep -q '95% confidence intervals (Wilson)' "$t1_cp"
-cat "$t1_cp"
-rm -f "$t1_cp" "$t1_sc"
+echo "== smoke Table 1: campaign engine vs scratch-boot reference (3 crashes/cell) =="
+# Renders the table at seed 1996 with the paper's warmup and watchdog on
+# 2 threads, once through the checkpoint-fork engine and once booting
+# every trial from scratch, and asserts equal bytes and the Wilson footer.
+cargo test -q --release -p rio-faults --test checkpoint_equivalence -- --ignored
 
-echo "== campaign throughput bench smoke (preparation speedup >= 50x) =="
+echo "== campaign preparation bench smoke (preparation speedup >= 50x) =="
 cb_json="$(mktemp)"
-RIO_BENCH_TRIALS=1 RIO_BENCH_PREPARES=10 RIO_BENCH_FORKS=200 RIO_BENCH_JSON="$cb_json" \
+RIO_BENCH_PREPARES=10 RIO_BENCH_FORKS=200 RIO_BENCH_JSON="$cb_json" \
     cargo run -q --release -p rio-bench --bin campaign_bench
-grep -q '"results_identical": true' "$cb_json"
 rm -f "$cb_json"
 
 echo "== smoke recovery re-crash campaign (RIO_TRIALS=1) =="

@@ -135,7 +135,6 @@ fn campaign_quick_grid_is_deterministic() {
         warmup_ops: 15,
         watchdog_ops: 100,
         max_attempts_factor: 3,
-        use_checkpoint: true,
     };
     let a = rio::faults::run_campaign_parallel(&cfg, 4);
     let b = rio::faults::run_campaign_parallel(&cfg, 2);
@@ -160,7 +159,6 @@ fn rendered_table1_is_byte_identical_at_1_and_8_threads() {
         warmup_ops: 20,
         watchdog_ops: 150,
         max_attempts_factor: 4,
-        use_checkpoint: true,
     };
     let one = rio::harness::render_table1(&rio::harness::run_table1(&cfg, 1));
     let eight = rio::harness::render_table1(&rio::harness::run_table1(&cfg, 8));
